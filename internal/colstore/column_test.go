@@ -3,6 +3,8 @@ package colstore
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -423,5 +425,77 @@ func TestQuickMergeRanges(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestF64RunningMinMax pins the O(1) running extremes to MinMax's fold,
+// bit for bit, over random batches through every append path (Append,
+// AppendValue, AppendText, AppendBinary, CSV) with NaN, ±Inf and -0 in
+// the mix — including a NaN first value, which MinMax keeps as its seed —
+// and across Reset.
+func TestF64RunningMinMax(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	palette := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1.5, -7.25}
+	draw := func() float64 {
+		if rng.Intn(3) == 0 {
+			return palette[rng.Intn(len(palette))]
+		}
+		return rng.NormFloat64() * 100
+	}
+	check := func(label string, c *F64Column) {
+		t.Helper()
+		lo, hi, ok := c.RunningMinMax()
+		wlo, whi, wok := c.MinMax()
+		if ok != wok || math.Float64bits(lo) != math.Float64bits(wlo) || math.Float64bits(hi) != math.Float64bits(whi) {
+			t.Fatalf("%s: running (%v, %v, %v), MinMax (%v, %v, %v)", label, lo, hi, ok, wlo, whi, wok)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		c := &F64Column{}
+		if trial%4 == 0 {
+			c = NewF64Column([]float64{draw(), draw()})
+		}
+		check("fresh", c)
+		for step := 0; step < 12; step++ {
+			batch := make([]float64, rng.Intn(5))
+			for i := range batch {
+				batch[i] = draw()
+			}
+			switch rng.Intn(5) {
+			case 0:
+				c.Append(batch...)
+			case 1:
+				for _, v := range batch {
+					c.AppendValue(v)
+				}
+			case 2:
+				for _, v := range batch {
+					if err := c.AppendText(strconv.FormatFloat(v, 'g', -1, 64)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 3:
+				var buf bytes.Buffer
+				if _, err := NewF64Column(batch).WriteBinary(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.AppendBinary(&buf, len(batch)); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				var sb strings.Builder
+				for _, v := range batch {
+					sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64) + "\n")
+				}
+				if _, err := AppendCSV(strings.NewReader(sb.String()), []Column{c}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("append", c)
+			if rng.Intn(10) == 0 {
+				c.Reset()
+				check("reset", c)
+			}
+		}
 	}
 }

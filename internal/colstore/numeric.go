@@ -9,11 +9,20 @@ import (
 	"strconv"
 )
 
-// F64Column stores float64 values.
-type F64Column struct{ vals []float64 }
+// F64Column stores float64 values. It keeps a running min/max next to the
+// values, updated on every append path with MinMax's fold, so the table
+// extent is O(1) however large the column grows.
+type F64Column struct {
+	vals   []float64
+	lo, hi float64 // running MinMax fold over vals; meaningless when empty
+}
 
 // NewF64Column wraps an existing slice (no copy).
-func NewF64Column(vals []float64) *F64Column { return &F64Column{vals: vals} }
+func NewF64Column(vals []float64) *F64Column {
+	c := &F64Column{vals: vals}
+	c.lo, c.hi, _ = c.MinMax()
+	return c
+}
 
 // DType implements Column.
 func (c *F64Column) DType() DType { return F64 }
@@ -28,10 +37,33 @@ func (c *F64Column) Value(i int) float64 { return c.vals[i] }
 func (c *F64Column) Values() []float64 { return c.vals }
 
 // Append adds values.
-func (c *F64Column) Append(vs ...float64) { c.vals = append(c.vals, vs...) }
+func (c *F64Column) Append(vs ...float64) {
+	if len(vs) == 0 {
+		return
+	}
+	if len(c.vals) == 0 {
+		c.lo, c.hi = vs[0], vs[0]
+	}
+	c.lo, c.hi = foldMinMax(c.lo, c.hi, vs)
+	c.vals = append(c.vals, vs...)
+}
 
-// AppendValue implements Column.
-func (c *F64Column) AppendValue(v float64) { c.vals = append(c.vals, v) }
+// AppendValue implements Column. Like every append path it folds the
+// value into the running min/max exactly as MinMax does: the first value
+// seeds both ends (a NaN seed therefore sticks), later values fold
+// through foldMinMax's strict compares.
+func (c *F64Column) AppendValue(v float64) {
+	if len(c.vals) == 0 {
+		c.lo, c.hi = v, v
+	}
+	if v < c.lo {
+		c.lo = v
+	}
+	if v > c.hi {
+		c.hi = v
+	}
+	c.vals = append(c.vals, v)
+}
 
 // AppendText implements Column.
 func (c *F64Column) AppendText(s string) error {
@@ -39,17 +71,24 @@ func (c *F64Column) AppendText(s string) error {
 	if err != nil {
 		return fmt.Errorf("f64 column: %w", err)
 	}
-	c.vals = append(c.vals, v)
+	c.AppendValue(v)
 	return nil
 }
 
-// MinMax implements Column.
+// MinMax implements Column: one fold over every stored value, seeded by
+// the first.
 func (c *F64Column) MinMax() (float64, float64, bool) {
 	if len(c.vals) == 0 {
 		return 0, 0, false
 	}
-	lo, hi := c.vals[0], c.vals[0]
-	for _, v := range c.vals[1:] {
+	lo, hi := foldMinMax(c.vals[0], c.vals[0], c.vals[1:])
+	return lo, hi, true
+}
+
+// foldMinMax folds vs into (lo, hi) with strict compares: NaN never wins
+// and a -0/+0 tie keeps the earlier value.
+func foldMinMax(lo, hi float64, vs []float64) (float64, float64) {
+	for _, v := range vs {
 		if v < lo {
 			lo = v
 		}
@@ -57,14 +96,26 @@ func (c *F64Column) MinMax() (float64, float64, bool) {
 			hi = v
 		}
 	}
-	return lo, hi, true
+	return lo, hi
+}
+
+// RunningMinMax returns MinMax's result in O(1) from the running fold
+// the append paths maintain.
+func (c *F64Column) RunningMinMax() (float64, float64, bool) {
+	if len(c.vals) == 0 {
+		return 0, 0, false
+	}
+	return c.lo, c.hi, true
 }
 
 // Bytes implements Column.
 func (c *F64Column) Bytes() int { return 8 * len(c.vals) }
 
 // Reset implements Column.
-func (c *F64Column) Reset() { c.vals = c.vals[:0] }
+func (c *F64Column) Reset() {
+	c.vals = c.vals[:0]
+	c.lo, c.hi = 0, 0
+}
 
 // WriteBinary implements Column.
 func (c *F64Column) WriteBinary(w io.Writer) (int64, error) {
@@ -90,7 +141,7 @@ func (c *F64Column) AppendBinary(r io.Reader, n int) error {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return fmt.Errorf("f64 column: short read at %d/%d: %w", i, n, err)
 		}
-		c.vals = append(c.vals, math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
+		c.AppendValue(math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
 	}
 	return nil
 }

@@ -15,8 +15,9 @@ import (
 // predicates like "z BETWEEN 0 AND 5" or "intensity > 900" the same
 // cacheline-pruning treatment as the spatial filter.
 
-// EnsureColumnImprint returns the imprint of the named column, building it
-// on first use. Imprints built here are dropped by InvalidateIndexes.
+// EnsureColumnImprint returns the imprint of the named column over every
+// current row: built on first use, extended over rows appended since.
+// Imprints built here are dropped by InvalidateIndexes.
 func (pc *PointCloud) EnsureColumnImprint(name string) (*imprints.Imprints, error) {
 	col := pc.Column(name)
 	if col == nil {
@@ -28,6 +29,10 @@ func (pc *PointCloud) EnsureColumnImprint(name string) (*imprints.Imprints, erro
 		pc.colImprints = map[string]*imprints.Imprints{}
 	}
 	if im, ok := pc.colImprints[name]; ok {
+		if im.N() != col.Len() {
+			im = im.ExtendColumn(col)
+			pc.colImprints[name] = im
+		}
 		return im, nil
 	}
 	im, err := imprints.BuildColumn(col, pc.ImprintOpts)
@@ -38,13 +43,16 @@ func (pc *PointCloud) EnsureColumnImprint(name string) (*imprints.Imprints, erro
 	return im, nil
 }
 
-// columnImprintIfBuilt returns the named column's imprint only when it has
-// already been built — a cheap lookup used for selectivity hints, never
-// triggering an index build.
+// columnImprintIfBuilt returns the named column's imprint only when it is
+// already built over every current row — a cheap lookup used for
+// selectivity hints, never triggering an index build or extension.
 func (pc *PointCloud) columnImprintIfBuilt(name string) *imprints.Imprints {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return pc.colImprints[name]
+	if im := pc.colImprints[name]; im != nil && im.N() == pc.Len() {
+		return im
+	}
+	return nil
 }
 
 // wideSelectivity reports whether an estimated match count is so large a

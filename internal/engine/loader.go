@@ -84,7 +84,7 @@ func LoadBinary(pc *PointCloud, repo *lastools.Repository) (LoadStats, error) {
 		st.Files++
 		st.Points += len(pts)
 	}
-	pc.InvalidateIndexes()
+	pc.appendedRows()
 	if err := validateSameLength(pc.cols); err != nil {
 		return st, err
 	}
@@ -125,7 +125,7 @@ func LoadCSV(pc *PointCloud, repo *lastools.Repository) (LoadStats, error) {
 		st.Files++
 		st.Points += len(pts)
 	}
-	pc.InvalidateIndexes()
+	pc.appendedRows()
 	if err := validateSameLength(pc.cols); err != nil {
 		return st, err
 	}

@@ -12,10 +12,11 @@
 //
 // Invalidation contract: appends may grow or MOVE a column's backing array,
 // so a cached kernel bound to the old array would silently serve stale (or
-// truncated) data. Every append path therefore ends in InvalidateIndexes,
-// which drops the kernel cache together with the imprints. As with imprints,
-// appends require external exclusion from queries; invalidation itself is
-// safe against concurrent readers (they finish on the kernel they already
+// truncated) data. Every append path therefore ends in an epoch bump that
+// drops the kernel cache (InvalidateIndexes also drops the imprints; an
+// append keeps them, since imprints bind to values, not arrays). Appends
+// require external exclusion from queries; invalidation itself is safe
+// against concurrent readers (they finish on the kernel they already
 // fetched, which still sees the pre-append array).
 package engine
 

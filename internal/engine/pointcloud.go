@@ -38,9 +38,10 @@ type PointCloud struct {
 	imprintY    *imprints.Imprints
 	colImprints map[string]*imprints.Imprints
 
-	// plans memoises compiled filter kernels per (column, op, constants);
-	// dropped together with the imprints on InvalidateIndexes, because both
-	// bind to column backing arrays that appends may move.
+	// plans memoises compiled filter kernels per (column, op); dropped on
+	// every epoch bump, because kernels bind to column backing arrays that
+	// appends may move. (Imprints copy what they index, so an append keeps
+	// them and the next query extends them.)
 	plans planCache
 
 	// epoch counts index invalidations. Everything that binds to a column's
@@ -49,6 +50,10 @@ type PointCloud struct {
 	// before reuse, so an append (which may move backing arrays) can never
 	// serve state bound to the old arrays.
 	epoch atomic.Uint64
+	// dropEpoch is the epoch of the latest full drop (InvalidateIndexes).
+	// Bumps after it were appends, which never rewrite a row: state built
+	// at an epoch at or past dropEpoch still describes a row prefix.
+	dropEpoch atomic.Uint64
 }
 
 // NewPointCloud returns an empty flat table with the 26-attribute schema.
@@ -91,14 +96,15 @@ func (pc *PointCloud) Y() []float64 { return pc.ys.Values() }
 // Z returns the Z coordinate slice.
 func (pc *PointCloud) Z() []float64 { return pc.zs.Values() }
 
-// Extent returns the 2-D bounding box of the cloud.
+// Extent returns the 2-D bounding box of the cloud in O(1), from the
+// coordinate columns' running min/max.
 func (pc *PointCloud) Extent() geom.Envelope {
 	env := geom.EmptyEnvelope()
-	xlo, xhi, ok := pc.xs.MinMax()
+	xlo, xhi, ok := pc.xs.RunningMinMax()
 	if !ok {
 		return env
 	}
-	ylo, yhi, _ := pc.ys.MinMax()
+	ylo, yhi, _ := pc.ys.RunningMinMax()
 	return geom.NewEnvelope(xlo, ylo, xhi, yhi)
 }
 
@@ -108,17 +114,30 @@ func (pc *PointCloud) AppendLAS(pts []las.Point) {
 	for _, p := range pts {
 		appendLASPoint(pc.cols, p)
 	}
-	pc.InvalidateIndexes()
+	pc.appendedRows()
 }
 
-// InvalidateIndexes drops the imprints and the compiled-kernel plan cache;
-// both rebuild on the next query. Appends must call this (and do, on every
-// load path): they can move column backing arrays, so cached kernels and
-// imprints bound to the old arrays must not serve another query.
+// appendedRows is the epoch bump of an append. Appends never rewrite a
+// row, so the imprints stay: they describe a row prefix, and the next
+// query extends them over the new rows. The compiled-kernel plan cache
+// drops, as on InvalidateIndexes: appends can move column backing arrays.
+// O(1) — every index update waits for the next query.
+func (pc *PointCloud) appendedRows() {
+	pc.epoch.Add(1)
+	pc.plans.invalidate()
+}
+
+// InvalidateIndexes is the full drop: it bumps the epoch and drops the
+// imprints and the compiled-kernel plan cache, so everything rebuilds
+// from scratch on the next query. Appends take the cheaper append-only
+// bump instead; AppendOnlySince tells caches built before a full drop
+// apart from those that may extend.
 func (pc *PointCloud) InvalidateIndexes() {
-	// Bump first: a plan prepared concurrently that read the old epoch will
-	// observe the mismatch and replan, the safe direction (appends still
-	// require external exclusion from in-flight queries, as below).
+	// Record the drop before bumping: a cache that reads the new epoch
+	// sees it too, and one that reads the old epoch replans on the
+	// mismatch — both the safe direction (appends and drops still require
+	// external exclusion from in-flight queries, as below).
+	pc.dropEpoch.Store(pc.epoch.Load() + 1)
 	pc.epoch.Add(1)
 	pc.mu.Lock()
 	pc.imprintX, pc.imprintY = nil, nil
@@ -128,33 +147,50 @@ func (pc *PointCloud) InvalidateIndexes() {
 }
 
 // Epoch returns the table's invalidation epoch: a monotonic counter bumped
-// by every InvalidateIndexes call (and therefore by every append path).
-// Capture it before binding to column backing arrays; a later mismatch
-// means the arrays may have moved and the binding must be rebuilt.
+// by every append path and every InvalidateIndexes call. Capture it
+// before binding to column backing arrays; a later mismatch means the
+// arrays may have moved and the binding must be rebuilt.
 func (pc *PointCloud) Epoch() uint64 { return pc.epoch.Load() }
 
-// HasImprints reports whether the coordinate imprints are currently built.
+// AppendOnlySince reports whether every epoch bump after epoch e was an
+// append: state built at e then still describes the table's first rows
+// (as many as it covered), and only the rows past them are new.
+func (pc *PointCloud) AppendOnlySince(e uint64) bool { return pc.dropEpoch.Load() <= e }
+
+// HasImprints reports whether the coordinate imprints are built over
+// every current row.
 func (pc *PointCloud) HasImprints() bool {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return pc.imprintX != nil && pc.imprintY != nil
+	return pc.imprintX != nil && pc.imprintX.N() == pc.Len() && pc.imprintY.N() == pc.Len()
 }
 
-// EnsureImprints builds the X and Y imprints if absent, returning the build
-// time (zero when already present). Mirrors MonetDB's create-on-first-query
-// behaviour (§3.2).
+// EnsureImprints brings the X and Y imprints up to date, returning the
+// time spent (zero when already current): a full build when absent —
+// MonetDB's create-on-first-query behaviour (§3.2) — or an extension
+// over the rows appended since.
 func (pc *PointCloud) EnsureImprints() time.Duration {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return pc.ensureImprintsLocked()
+	d, _ := pc.ensureImprintsLocked()
+	return d
 }
 
-// ensureImprintsLocked builds the coordinate imprints; pc.mu must be held.
-func (pc *PointCloud) ensureImprintsLocked() time.Duration {
-	if pc.imprintX != nil && pc.imprintY != nil {
-		return 0
+// ensureImprintsLocked builds or extends the coordinate imprints; pc.mu
+// must be held. It returns the time spent, zero when they were current,
+// and an EXPLAIN detail naming the work.
+func (pc *PointCloud) ensureImprintsLocked() (time.Duration, string) {
+	n := pc.Len()
+	if pc.imprintX != nil && pc.imprintX.N() == n && pc.imprintY.N() == n {
+		return 0, ""
 	}
 	start := time.Now()
+	if pc.imprintX != nil {
+		detail := fmt.Sprintf("extend +%d rows", n-pc.imprintX.N())
+		pc.imprintX = pc.imprintX.Extend(pc.xs.Values())
+		pc.imprintY = pc.imprintY.Extend(pc.ys.Values())
+		return time.Since(start), detail
+	}
 	ix, err := imprints.Build(pc.xs.Values(), pc.ImprintOpts)
 	if err != nil {
 		// Options are programmer-controlled; invalid ones are a bug.
@@ -165,18 +201,19 @@ func (pc *PointCloud) ensureImprintsLocked() time.Duration {
 		panic(fmt.Sprintf("engine: building y imprints: %v", err))
 	}
 	pc.imprintX, pc.imprintY = ix, iy
-	return time.Since(start)
+	return time.Since(start), "x+y coordinate imprints"
 }
 
-// imprintsXY returns stable references to the coordinate imprints, building
-// them if a concurrent invalidation raced the caller's EnsureImprints. The
-// returned values stay valid even if the table's indexes are invalidated
-// afterwards (imprints are immutable once built).
-func (pc *PointCloud) imprintsXY() (*imprints.Imprints, *imprints.Imprints) {
+// imprintsXY returns stable references to the coordinate imprints, brought
+// up to date first, plus the time and EXPLAIN detail of that update (zero
+// and "" when they were current). The returned values stay valid whatever
+// happens to the table afterwards: imprints are immutable once built, and
+// an append or invalidation replaces them.
+func (pc *PointCloud) imprintsXY() (x, y *imprints.Imprints, d time.Duration, detail string) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	pc.ensureImprintsLocked()
-	return pc.imprintX, pc.imprintY
+	d, detail = pc.ensureImprintsLocked()
+	return pc.imprintX, pc.imprintY, d, detail
 }
 
 // ImprintStats returns the index statistics of both coordinate imprints
@@ -295,10 +332,10 @@ func (pc *PointCloud) selectRegionRows(run *Run, region grid.Region, ex *Explain
 		// stay distinguishable.
 		return []int{}, grid.Stats{}
 	}
-	if d := pc.EnsureImprints(); d > 0 && ex != nil {
-		ex.Add(opImprintsBuild, "x+y coordinate imprints", pc.Len(), pc.Len(), d)
+	imX, imY, d, detail := pc.imprintsXY()
+	if d > 0 && ex != nil {
+		ex.Add(opImprintsBuild, detail, pc.Len(), pc.Len(), d)
 	}
-	imX, imY := pc.imprintsXY()
 
 	start := time.Now()
 	cand := candidateRangesXY(run, imX, imY, env)
@@ -369,8 +406,7 @@ func (pc *PointCloud) SelectRegionImprintsOnly(region grid.Region) Selection {
 	if env.IsEmpty() || pc.Len() == 0 {
 		return Selection{Rows: []int{}, Explain: ex}
 	}
-	pc.EnsureImprints()
-	imX, imY := pc.imprintsXY()
+	imX, imY, _, _ := pc.imprintsXY()
 	start := time.Now()
 	cand := candidateRangesXY(nil, imX, imY, env)
 	ex.Add(opImprintsFilter, env.String(), pc.Len(), colstore.RangesLen(cand), time.Since(start))

@@ -57,32 +57,17 @@ func validateTileSpecs(specs []GroupedAggSpec) error {
 // run serial so each tile's sum folds rows in ascending row order.
 func (pc *PointCloud) TileGroupedAggregateRun(run *Run, tiler sfc.Grid, keyCol string, specs []GroupedAggSpec, cnt []float64, banks [][]float64, ex *Explain) error {
 	start := time.Now()
-	if err := validateTileSpecs(specs); err != nil {
+	keys, nslots, err := pc.tileBankShape(tiler, keyCol, specs, cnt, banks)
+	if err != nil {
 		return err
-	}
-	u8, ok := pc.Column(keyCol).(*colstore.U8Column)
-	if !ok {
-		return fmt.Errorf("engine: tile aggregation requires a u8 key column, got %q", keyCol)
-	}
-	nslots := (1 << (2 * tiler.Order)) * tileDom
-	if len(cnt) < nslots || len(banks) != len(specs) {
-		return fmt.Errorf("engine: tile bank shape mismatch: %d slots, %d banks for %d specs",
-			len(cnt), len(banks), len(specs))
 	}
 	for i := range cnt[:nslots] {
 		cnt[i] = 0
 	}
 	for j, s := range specs {
-		if s.Fn == AggCount {
-			continue
+		if s.Fn != AggCount {
+			seedBank(banks[j][:nslots], s.Fn)
 		}
-		if pc.Column(s.Column) == nil {
-			return fmt.Errorf("engine: unknown column %q", s.Column)
-		}
-		if len(banks[j]) < nslots {
-			return fmt.Errorf("engine: tile bank %d holds %d slots, need %d", j, len(banks[j]), nslots)
-		}
-		seedBank(banks[j][:nslots], s.Fn)
 	}
 
 	n := pc.Len()
@@ -93,11 +78,10 @@ func (pc *PointCloud) TileGroupedAggregateRun(run *Run, tiler sfc.Grid, keyCol s
 	if specsMergeExact(specs) {
 		deg = pc.morselDegree(run, n)
 	}
-	var err error
 	if deg > 1 {
-		err = pc.tileGroupedMorsel(run, tiler, u8.Values(), specs, cnt, banks, nslots, n, deg)
+		err = pc.tileGroupedMorsel(run, tiler, keys, specs, cnt, banks, nslots, n, deg)
 	} else {
-		err = pc.tileGroupedSerial(run, tiler, u8.Values(), specs, cnt, banks)
+		err = pc.tileGroupedSerial(run, tiler, keys, specs, cnt, banks, 0)
 	}
 	if err != nil {
 		return err
@@ -107,6 +91,50 @@ func (pc *PointCloud) TileGroupedAggregateRun(run *Run, tiler sfc.Grid, keyCol s
 			n, nslots, time.Since(start))
 	}
 	return nil
+}
+
+// TileGroupedAppendRun folds rows [from, Len()) into banks that hold the
+// TileGroupedAggregateRun result over the table's first `from` rows — the
+// pyramid's append path. Banks are not reseeded: the new rows fold
+// serially in ascending row order after the existing values, which is
+// the fold a build over all rows performs (count/min/max merge exactly in
+// any order, per-tile sums continue their ascending row-order fold), so
+// the banks come out bit-identical to that build.
+func (pc *PointCloud) TileGroupedAppendRun(run *Run, tiler sfc.Grid, keyCol string, specs []GroupedAggSpec, from int, cnt []float64, banks [][]float64) error {
+	keys, _, err := pc.tileBankShape(tiler, keyCol, specs, cnt, banks)
+	if err != nil {
+		return err
+	}
+	return pc.tileGroupedSerial(run, tiler, keys, specs, cnt, banks, from)
+}
+
+// tileBankShape validates a tile-bank call: the spec shapes, the u8 key
+// column (returned), the value columns and the bank sizes for tiler.
+func (pc *PointCloud) tileBankShape(tiler sfc.Grid, keyCol string, specs []GroupedAggSpec, cnt []float64, banks [][]float64) ([]uint8, int, error) {
+	if err := validateTileSpecs(specs); err != nil {
+		return nil, 0, err
+	}
+	u8, ok := pc.Column(keyCol).(*colstore.U8Column)
+	if !ok {
+		return nil, 0, fmt.Errorf("engine: tile aggregation requires a u8 key column, got %q", keyCol)
+	}
+	nslots := (1 << (2 * tiler.Order)) * tileDom
+	if len(cnt) < nslots || len(banks) != len(specs) {
+		return nil, 0, fmt.Errorf("engine: tile bank shape mismatch: %d slots, %d banks for %d specs",
+			len(cnt), len(banks), len(specs))
+	}
+	for j, s := range specs {
+		if s.Fn == AggCount {
+			continue
+		}
+		if pc.Column(s.Column) == nil {
+			return nil, 0, fmt.Errorf("engine: unknown column %q", s.Column)
+		}
+		if len(banks[j]) < nslots {
+			return nil, 0, fmt.Errorf("engine: tile bank %d holds %d slots, need %d", j, len(banks[j]), nslots)
+		}
+	}
+	return u8.Values(), nslots, nil
 }
 
 // seedBank initialises a fold bank to fn's identity.
@@ -157,13 +185,14 @@ func tileAccumCol(col colstore.Column, start, end int, slots []int, fn AggFunc, 
 	}
 }
 
-// tileGroupedSerial is the single-core scatter: one slot pass, one count
-// pass, one accumulate pass per non-count spec, polling the cancel token
-// between passes like the serial grouped strategies.
-func (pc *PointCloud) tileGroupedSerial(run *Run, tiler sfc.Grid, keys []uint8, specs []GroupedAggSpec, cnt []float64, banks [][]float64) error {
+// tileGroupedSerial is the single-core scatter of rows [from, len(keys)):
+// one slot pass, one count pass, one accumulate pass per non-count spec,
+// polling the cancel token between passes like the serial grouped
+// strategies.
+func (pc *PointCloud) tileGroupedSerial(run *Run, tiler sfc.Grid, keys []uint8, specs []GroupedAggSpec, cnt []float64, banks [][]float64, from int) error {
 	n := len(keys)
-	slots := run.TrackRows(getRowBuf(n))[:n]
-	tileSlots(pc.xs.Values(), pc.ys.Values(), keys, tiler, 0, n, slots)
+	slots := run.TrackRows(getRowBuf(n - from))[:n-from]
+	tileSlots(pc.xs.Values(), pc.ys.Values(), keys, tiler, from, n, slots)
 	for _, s := range slots {
 		cnt[s]++
 	}
@@ -175,7 +204,7 @@ func (pc *PointCloud) tileGroupedSerial(run *Run, tiler sfc.Grid, keys []uint8, 
 		if s.Fn == AggCount {
 			continue
 		}
-		tileAccumCol(pc.Column(s.Column), 0, n, slots, s.Fn, banks[j])
+		tileAccumCol(pc.Column(s.Column), from, n, slots, s.Fn, banks[j])
 	}
 	run.RecycleRows(slots)
 	return nil

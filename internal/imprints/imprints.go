@@ -84,6 +84,12 @@ type Imprints struct {
 	vpl    int // values per line
 	n      int // number of indexed values
 
+	// sampleSize and sampledN record how the bounds were sampled: the
+	// sample bound and the column length at the time. Extend keeps the
+	// bounds until the column has doubled past sampledN.
+	sampleSize int
+	sampledN   int
+
 	// Cacheline dictionary: entry i covers counts[i] cache lines. When
 	// repeats[i] is true those lines share one imprint vector; otherwise
 	// each line has its own vector. vectors holds the stored vectors in
@@ -107,15 +113,18 @@ func Build(vals []float64, opts Options) (*Imprints, error) {
 		return nil, err
 	}
 	im := &Imprints{
-		bits: opts.Bits,
-		vpl:  opts.ValuesPerLine,
-		n:    len(vals),
+		bits:       opts.Bits,
+		vpl:        opts.ValuesPerLine,
+		n:          len(vals),
+		sampleSize: opts.SampleSize,
+		sampledN:   len(vals),
 	}
 	if len(vals) == 0 {
 		return im, nil
 	}
 	im.bounds = sampleBounds(vals, opts.Bits, opts.SampleSize)
-	im.buildVectors(vals)
+	im.binCounts = make([]uint32, im.bits)
+	im.appendLines(vals, 0)
 	return im, nil
 }
 
@@ -126,12 +135,103 @@ func BuildColumn(col colstore.Column, opts Options) (*Imprints, error) {
 	case *colstore.F64Column:
 		return Build(t.Values(), opts)
 	default:
-		vals := make([]float64, col.Len())
-		for i := range vals {
-			vals[i] = col.Value(i)
-		}
-		return Build(vals, opts)
+		return Build(columnValues(col, 0), opts)
 	}
+}
+
+// columnValues widens col's rows from `from` on into a new slice.
+func columnValues(col colstore.Column, from int) []float64 {
+	vals := make([]float64, col.Len()-from)
+	for i := range vals {
+		vals[i] = col.Value(from + i)
+	}
+	return vals
+}
+
+// Extend returns imprints over vals, a column whose first im.N() values
+// im already indexes and which has only grown since (appends never
+// rewrite a row). The bin bounds stay; the last, partial cache line is
+// recomputed and the new lines' vectors extend the dictionary and the
+// bin histogram, so the result equals a Build over vals with im's bounds.
+// The result is a new value: im is never mutated, and readers holding it
+// keep a consistent index over the prefix.
+//
+// Bounds sampled from a prefix describe the whole column less well as it
+// grows, so once the column has doubled since they were sampled Extend
+// builds afresh — every row is then re-indexed O(1) times amortised.
+func (im *Imprints) Extend(vals []float64) *Imprints {
+	switch {
+	case len(vals) == im.n:
+		return im
+	case im.mustRebuild(len(vals)):
+		return im.rebuild(vals)
+	}
+	return im.extendTail(vals[im.tailStart():], len(vals))
+}
+
+// ExtendColumn is Extend over a colstore column; off the float64 fast
+// path it materialises only the rows Extend reads.
+func (im *Imprints) ExtendColumn(col colstore.Column) *Imprints {
+	if f, ok := col.(*colstore.F64Column); ok {
+		return im.Extend(f.Values())
+	}
+	n := col.Len()
+	switch {
+	case n == im.n:
+		return im
+	case im.mustRebuild(n):
+		return im.rebuild(columnValues(col, 0))
+	}
+	return im.extendTail(columnValues(col, im.tailStart()), n)
+}
+
+// mustRebuild reports whether extending im to n rows needs a fresh Build:
+// the column shrank (it was replaced, not appended to) or has doubled
+// since the bounds were sampled.
+func (im *Imprints) mustRebuild(n int) bool { return n < im.n || n >= 2*im.sampledN }
+
+// options returns the options im was built with.
+func (im *Imprints) options() Options {
+	return Options{Bits: im.bits, ValuesPerLine: im.vpl, SampleSize: im.sampleSize}
+}
+
+// rebuild is Build with im's options, which are valid by construction.
+func (im *Imprints) rebuild(vals []float64) *Imprints {
+	fresh, err := Build(vals, im.options())
+	if err != nil {
+		panic(err)
+	}
+	return fresh
+}
+
+// tailStart is the first row of the last cache line if it is partial, or
+// im.n when every line is full: the rows Extend must (re)read.
+func (im *Imprints) tailStart() int { return im.n / im.vpl * im.vpl }
+
+// extendTail builds the extended index from tail = vals[tailStart():n].
+// The copy gets the dictionary, vectors and histogram of im with room for
+// the new lines; the bounds are shared (never written after Build).
+func (im *Imprints) extendTail(tail []float64, n int) *Imprints {
+	grow := (len(tail) + im.vpl - 1) / im.vpl
+	out := &Imprints{
+		bounds:     im.bounds,
+		bits:       im.bits,
+		vpl:        im.vpl,
+		n:          n,
+		sampleSize: im.sampleSize,
+		sampledN:   im.sampledN,
+		vectors:    append(make([]uint64, 0, len(im.vectors)+grow), im.vectors...),
+		counts:     append(make([]uint32, 0, len(im.counts)+grow), im.counts...),
+		repeats:    append(make([]bool, 0, len(im.repeats)+grow), im.repeats...),
+		lines:      im.lines,
+		binCounts:  append([]uint32(nil), im.binCounts...),
+	}
+	counted := im.n - (n - len(tail)) // rows of the partial line already in binCounts
+	if counted > 0 {
+		out.popLine()
+	}
+	out.appendLines(tail, counted)
+	return out
 }
 
 // sampleBounds picks bits-1 ascending boundaries from a uniform sample so
@@ -191,19 +291,22 @@ func (im *Imprints) binOf(v float64) int {
 // lastBin returns the highest usable bin index.
 func (im *Imprints) lastBin() int { return len(im.bounds) }
 
-// buildVectors computes the per-cacheline vectors and compresses runs,
-// accumulating the per-bin value histogram along the way.
-func (im *Imprints) buildVectors(vals []float64) {
-	im.binCounts = make([]uint32, im.bits)
+// appendLines computes the per-cacheline vectors of vals, which starts on
+// a line boundary, and appends them to the dictionary, accumulating the
+// per-bin value histogram along the way for every value past the first
+// skip (those are already counted).
+func (im *Imprints) appendLines(vals []float64, skip int) {
 	for start := 0; start < len(vals); start += im.vpl {
 		end := start + im.vpl
 		if end > len(vals) {
 			end = len(vals)
 		}
 		var vec uint64
-		for _, v := range vals[start:end] {
+		for i, v := range vals[start:end] {
 			b := im.binOf(v)
-			im.binCounts[b]++
+			if start+i >= skip {
+				im.binCounts[b]++
+			}
 			vec |= 1 << uint(b)
 		}
 		im.appendLine(vec)
@@ -239,6 +342,36 @@ func (im *Imprints) appendLine(vec uint64) {
 	}
 	im.counts = append(im.counts, 1)
 	im.repeats = append(im.repeats, false)
+}
+
+// popLine removes the last cache line: the exact inverse of appendLine,
+// restoring the dictionary appendLine saw before that line arrived.
+func (im *Imprints) popLine() {
+	im.lines--
+	e := len(im.counts) - 1
+	switch {
+	case !im.repeats[e]:
+		im.vectors = im.vectors[:len(im.vectors)-1]
+		im.counts[e]--
+		if im.counts[e] == 0 {
+			im.counts = im.counts[:e]
+			im.repeats = im.repeats[:e]
+		}
+	case im.counts[e] > 2:
+		im.counts[e]--
+	default:
+		// A repeat of two was carved out of a non-repeat run when its
+		// second line arrived; the first line rejoins that run (or starts
+		// one) and keeps the shared vector.
+		im.counts = im.counts[:e]
+		im.repeats = im.repeats[:e]
+		if e > 0 && !im.repeats[e-1] {
+			im.counts[e-1]++
+			return
+		}
+		im.counts = append(im.counts, 1)
+		im.repeats = append(im.repeats, false)
+	}
 }
 
 // N reports the number of indexed values.

@@ -418,3 +418,137 @@ func TestIntersectRangesWithImprints(t *testing.T) {
 		t.Fatal("intersection with empty should be empty")
 	}
 }
+
+// extendTestValue draws column values with long equal runs (so the
+// dictionary carries repeat entries that popLine must undo) salted with
+// NaN, ±Inf and -0.
+func extendTestValue(rng *rand.Rand, i int) float64 {
+	switch rng.Intn(12) {
+	case 0:
+		return []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}[rng.Intn(5)]
+	case 1, 2:
+		return rng.NormFloat64() * 50
+	}
+	return float64(i / 40 % 7)
+}
+
+// withBounds is the Build reference for Extend: a from-scratch index over
+// vals that reuses the given bounds instead of sampling new ones.
+func withBounds(vals []float64, like *Imprints) *Imprints {
+	ref := &Imprints{bounds: like.bounds, bits: like.bits, vpl: like.vpl, n: len(vals),
+		binCounts: make([]uint32, like.bits)}
+	ref.appendLines(vals, 0)
+	return ref
+}
+
+func sameIndex(t *testing.T, label string, got, want *Imprints) {
+	t.Helper()
+	if got.n != want.n || got.lines != want.lines {
+		t.Fatalf("%s: n/lines %d/%d, want %d/%d", label, got.n, got.lines, want.n, want.lines)
+	}
+	eq := func(name string, a, b int, same func(i int) bool) {
+		if a != b {
+			t.Fatalf("%s: %d %s, want %d", label, a, name, b)
+		}
+		for i := 0; i < a; i++ {
+			if !same(i) {
+				t.Fatalf("%s: %s differ at %d", label, name, i)
+			}
+		}
+	}
+	eq("vectors", len(got.vectors), len(want.vectors), func(i int) bool { return got.vectors[i] == want.vectors[i] })
+	eq("counts", len(got.counts), len(want.counts), func(i int) bool { return got.counts[i] == want.counts[i] })
+	eq("repeats", len(got.repeats), len(want.repeats), func(i int) bool { return got.repeats[i] == want.repeats[i] })
+	eq("binCounts", len(got.binCounts), len(want.binCounts), func(i int) bool { return got.binCounts[i] == want.binCounts[i] })
+}
+
+// refined is the filter step followed by the exact test: the rows the
+// index hands to refinement that really lie in [lo, hi].
+func refined(im *Imprints, vals []float64, lo, hi float64) []int {
+	var rows []int
+	for _, r := range im.CandidateRanges(lo, hi) {
+		for i := r.Start; i < r.End; i++ {
+			if vals[i] >= lo && vals[i] <= hi {
+				rows = append(rows, i)
+			}
+		}
+	}
+	return rows
+}
+
+// TestExtendEqualsBuildWithBounds pins Extend to a from-scratch build:
+// after every append, the extended index equals a build over the whole
+// column with the same bounds — dictionary entry for dictionary entry,
+// vector for vector, histogram bin for bin — its refined selections equal
+// those of a fresh Build, and the value it was extended from is unchanged.
+func TestExtendEqualsBuildWithBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 60; trial++ {
+		opts := Options{Bits: []int{8, 16, 64}[trial%3], ValuesPerLine: 1 + rng.Intn(8), SampleSize: 64}
+		vals := make([]float64, 200+rng.Intn(300))
+		for i := range vals {
+			vals[i] = extendTestValue(rng, i)
+		}
+		im := mustBuild(t, vals, opts)
+		for step := 0; len(vals) < 2*im.sampledN-64; step++ {
+			before := withBounds(vals, im)
+			for k := rng.Intn(40); k > 0; k-- {
+				vals = append(vals, extendTestValue(rng, len(vals)))
+			}
+			next := im.Extend(vals)
+			sameIndex(t, "prior value", im, before)
+			sameIndex(t, "extended", next, withBounds(vals, im))
+			if next.sampledN != im.sampledN {
+				t.Fatalf("trial %d step %d: extension below the doubling point resampled", trial, step)
+			}
+			fresh := mustBuild(t, vals, opts)
+			for q := 0; q < 8; q++ {
+				lo, hi := rng.NormFloat64()*40, rng.NormFloat64()*40
+				if q == 0 {
+					lo, hi = math.Inf(-1), math.Inf(1)
+				}
+				got, want := refined(next, vals, lo, hi), refined(fresh, vals, lo, hi)
+				if len(got) != len(want) {
+					t.Fatalf("trial %d step %d [%g, %g]: %d rows, fresh build %d", trial, step, lo, hi, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d step %d: row %d is %d, fresh build %d", trial, step, i, got[i], want[i])
+					}
+				}
+			}
+			im = next
+		}
+		// Past the doubling point the bounds are resampled: a fresh Build.
+		for len(vals) < 2*im.sampledN {
+			vals = append(vals, extendTestValue(rng, len(vals)))
+		}
+		sameIndex(t, "doubled", im.Extend(vals), mustBuild(t, vals, opts))
+	}
+}
+
+// TestExtendColumnMatchesExtend covers the non-float64 column path: the
+// tail it materialises yields the same index as Extend over the widened
+// values.
+func TestExtendColumnMatchesExtend(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	col := colstore.NewU16Column(nil)
+	for i := 0; i < 501; i++ {
+		col.Append(uint16(rng.Intn(30) + i/50))
+	}
+	im, err := BuildColumn(col, Options{ValuesPerLine: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 203; i++ {
+		col.Append(uint16(rng.Intn(60)))
+	}
+	widened := make([]float64, col.Len())
+	for i := range widened {
+		widened[i] = col.Value(i)
+	}
+	sameIndex(t, "column", im.ExtendColumn(col), im.Extend(widened))
+	if im.ExtendColumn(col).sampledN != im.sampledN {
+		t.Fatal("column extension below the doubling point resampled")
+	}
+}

@@ -24,6 +24,7 @@ type refCount struct{ n atomic.Int64 }
 func (r *refCount) init(n int64) { r.n.Store(n) }
 func (r *refCount) inc()         { r.n.Add(1) }
 func (r *refCount) dec() bool    { return r.n.Add(-1) == 0 }
+func (r *refCount) only() bool   { return r.n.Load() == 1 }
 
 // cacheKey identifies a pyramid: the table identity plus the shape
 // signature (key column + canonical bank set).
@@ -33,15 +34,18 @@ type cacheKey struct {
 }
 
 // pyramidCache is the bounded resident set. Stale entries (epoch moved
-// past atEpoch) are dropped lazily at lookup — the epoch contract's lazy
-// invalidation arm: InvalidateIndexes/Append bump the table epoch, and
-// the next pyramid lookup for that table discards the stale banks.
+// past atEpoch) leave the cache lazily at lookup — the epoch contract's
+// lazy invalidation arm. After appends only, the next lookup extends the
+// stale entry over the appended rows (extend.go); after InvalidateIndexes,
+// or when the appended rows do not fit its tiling, it discards the stale
+// banks and the pyramid rebuilds.
 type pyramidCache struct {
 	mu        sync.Mutex
 	pyramids  map[cacheKey]*Pyramid
 	hits      uint64
 	misses    uint64
 	builds    uint64
+	extends   uint64
 	drops     uint64
 	evictions uint64
 }
@@ -73,36 +77,56 @@ func Enabled() bool { return !disabled.Load() }
 func SetEnabled(on bool) { disabled.Store(!on) }
 
 // lookup returns the resident pyramid for (pc, sig) pinned for the
-// caller, or nil on miss. A resident entry whose epoch is stale is
-// dropped here: the cache reference is released (recycling the banks
-// unless a concurrent query still holds a pin) and the lookup misses.
-func (c *pyramidCache) lookup(pc *engine.PointCloud, sig string, epoch uint64) *Pyramid {
+// caller, or nil on miss. A resident entry whose epoch is stale leaves
+// the cache here. When every epoch bump since it was built was an append
+// it is handed back as stale, carrying the cache's reference, for the
+// caller to extend; sole reports whether that reference was the only one
+// — taken under the mutex, after which nobody can pin the entry. Any
+// other stale entry is dropped: the cache reference is released
+// (recycling the banks unless a concurrent query still holds a pin).
+func (c *pyramidCache) lookup(pc *engine.PointCloud, sig string, epoch uint64) (p, stale *Pyramid, sole bool) {
 	k := cacheKey{pc: pc, sig: sig}
 	c.mu.Lock()
 	p, ok := c.pyramids[k]
 	if ok && p.atEpoch != epoch {
 		delete(c.pyramids, k)
+		c.misses++
+		if pc.AppendOnlySince(p.atEpoch) {
+			sole = p.refs.only()
+			c.mu.Unlock()
+			return nil, p, sole
+		}
 		c.drops++
-		ok = false
-		defer p.Release()
+		c.mu.Unlock()
+		p.Release()
+		return nil, nil, false
 	}
 	if !ok {
 		c.misses++
 		c.mu.Unlock()
-		return nil
+		return nil, nil, false
 	}
 	c.hits++
 	p.refs.inc()
 	c.mu.Unlock()
-	return p
+	return p, nil, false
 }
 
-// insert publishes a freshly built pyramid and returns the entry the
-// caller should use, pinned. Builds run outside the cache mutex, so two
-// queries can race to build the same pyramid: the loser's copy is
-// discarded here and the resident one returned. At the bound an
-// arbitrary resident entry is evicted (its banks recycle once unpinned).
-func (c *pyramidCache) insert(k cacheKey, p *Pyramid) *Pyramid {
+// dropped counts a stale entry that lookup handed out but that could not
+// be extended.
+func (c *pyramidCache) dropped() {
+	c.mu.Lock()
+	c.drops++
+	c.mu.Unlock()
+}
+
+// insert publishes a freshly built (or, with extended set, extended)
+// pyramid and returns the entry the caller should use, pinned. Builds
+// run outside the cache mutex, so two queries can race to build the same
+// pyramid: the loser's copy is discarded here and the resident one
+// returned. At the bound an arbitrary resident entry is evicted (its
+// banks recycle once unpinned).
+func (c *pyramidCache) insert(k cacheKey, p *Pyramid, extended bool) *Pyramid {
 	var released []*Pyramid
 	c.mu.Lock()
 	if old, ok := c.pyramids[k]; ok {
@@ -126,7 +150,11 @@ func (c *pyramidCache) insert(k cacheKey, p *Pyramid) *Pyramid {
 		}
 	}
 	c.pyramids[k] = p
-	c.builds++
+	if extended {
+		c.extends++
+	} else {
+		c.builds++
+	}
 	p.refs.inc() // the cache's reference
 	c.mu.Unlock()
 	for _, ep := range released {
@@ -144,6 +172,7 @@ func (c *pyramidCache) stats() Stats {
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Builds:    c.builds,
+		Extends:   c.extends,
 		Drops:     c.drops,
 		Evictions: c.evictions,
 	}
@@ -156,6 +185,7 @@ type Stats struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
 	Builds        uint64 `json:"builds"`
+	Extends       uint64 `json:"extends"`
 	Drops         uint64 `json:"drops"`
 	Evictions     uint64 `json:"evictions"`
 	Queries       uint64 `json:"queries"`
@@ -242,20 +272,35 @@ func sigFor(key string, specs []engine.GroupedAggSpec) string {
 }
 
 // For returns the pyramid for (pc, sig) pinned for the caller — the
-// caller must Release it when done — building and publishing one when
-// none is resident. A nil pyramid with nil error means the table declined
-// (empty, degenerate extent, or routing disabled); callers fall back to
-// the exact arm. The table epoch is captured before any other table state
-// is read, per the epoch contract.
+// caller must Release it when done — extending the resident one over
+// appended rows, or building and publishing one, when the resident entry
+// is stale or absent. A nil pyramid with nil error means the table
+// declined (empty, degenerate extent, or routing disabled); callers fall
+// back to the exact arm. The table epoch is captured before any other
+// table state is read, per the epoch contract.
 func For(run *engine.Run, pc *engine.PointCloud, key string, specs []engine.GroupedAggSpec, sig string, ex *engine.Explain) (*Pyramid, error) {
 	if pc == nil || sig == "" || !Enabled() {
 		return nil, nil
 	}
 	epoch := pc.Epoch()
-	if p := shared.lookup(pc, sig, epoch); p != nil {
+	p, stale, sole := shared.lookup(pc, sig, epoch)
+	if p != nil {
 		return p, nil
 	}
-	p := newPyramid(pc, epoch, key, specs)
+	k := cacheKey{pc: pc, sig: sig}
+	if stale != nil {
+		p, err := stale.extend(run, epoch, sole, ex)
+		if p == nil {
+			shared.dropped()
+		}
+		if err != nil {
+			return nil, err
+		}
+		if p != nil {
+			return shared.insert(k, p, true), nil
+		}
+	}
+	p = newPyramid(pc, epoch, key, specs)
 	if p == nil {
 		return nil, nil
 	}
@@ -263,5 +308,5 @@ func For(run *engine.Run, pc *engine.PointCloud, key string, specs []engine.Grou
 		p.Release()
 		return nil, err
 	}
-	return shared.insert(cacheKey{pc: pc, sig: sig}, p), nil
+	return shared.insert(k, p, false), nil
 }

@@ -31,7 +31,9 @@
 //
 // Determinism. Count/min/max merge exactly in any fold order, so those
 // pyramid answers are bit-identical to the serial exact arm — the same
-// argument as specsMergeExact for the morsel merge. Per-tile sums are
+// argument as specsMergeExact for the morsel merge — up to the sign of a
+// zero min/max, which depends on which of -0 and +0 a fold meets first;
+// QueryRegionRun settles those from the row postings. Per-tile sums are
 // built in ascending row order (the engine forces the serial scatter for
 // sum banks) and folded in ascending tile order at query time: that is
 // deterministic, but it is NOT the global ascending row-order fold the
@@ -44,6 +46,7 @@ import (
 	"math"
 
 	"gisnav/internal/cancel"
+	"gisnav/internal/colstore"
 	"gisnav/internal/engine"
 	"gisnav/internal/geom"
 	"gisnav/internal/grid"
@@ -80,18 +83,20 @@ type level struct {
 	bmaxy []float64
 }
 
-// Pyramid is the pre-aggregate stack for one (table, epoch, shape). It is
-// immutable after build; concurrent queries share it read-only. Lifetime
-// is reference-counted: the cache holds one reference while the entry is
-// resident, every For caller holds one until Release — the last release
-// returns the pooled banks.
+// Pyramid is the pre-aggregate stack for one (table, epoch, shape).
+// Concurrent queries share it read-only; only an extension over appended
+// rows (extend.go) writes it, and only when the writer holds the sole
+// reference. Lifetime is reference-counted: the cache holds one reference
+// while the entry is resident, every For caller holds one until Release —
+// the last release returns the pooled banks.
 type Pyramid struct {
 	pc      *engine.PointCloud
-	atEpoch uint64 // epoch the banks describe; a bump invalidates
+	atEpoch uint64 // epoch the banks describe; a bump makes them stale
 	key     string
 	specs   []engine.GroupedAggSpec // canonical non-count bank specs
 	ext     geom.Envelope
 	base    uint
+	n       int     // rows covered: the table's first n rows
 	levels  []level // indexed by order, 0..base
 	offs    []int   // base-tile postings: rows[offs[t]:offs[t+1]]
 	rows    []int   // row ids, ascending within each base tile
@@ -130,13 +135,23 @@ func newPyramid(pc *engine.PointCloud, epoch uint64, key string, specs []engine.
 		math.IsInf(ext.Width(), 0) || math.IsInf(ext.Height(), 0) {
 		return nil
 	}
+	p := allocPyramid(pc, epoch, key, canonicalBanks(specs), ext, baseOrderFor(n), n)
+	p.rows = engine.AcquireRows(n)[:n]
+	return p
+}
+
+// allocPyramid acquires every pooled buffer of a pyramid but the row
+// postings, with one reference held by the caller: the banks and
+// metadata of each level and the base-tile offsets.
+func allocPyramid(pc *engine.PointCloud, epoch uint64, key string, specs []engine.GroupedAggSpec, ext geom.Envelope, base uint, n int) *Pyramid {
 	p := &Pyramid{
 		pc:      pc,
 		atEpoch: epoch,
 		key:     key,
-		specs:   canonicalBanks(specs),
+		specs:   specs,
 		ext:     ext,
-		base:    baseOrderFor(n),
+		base:    base,
+		n:       n,
 	}
 	p.refs.init(1)
 	p.levels = make([]level, p.base+1)
@@ -158,8 +173,28 @@ func newPyramid(pc *engine.PointCloud, epoch uint64, key string, specs []engine.
 	}
 	baseTiles := 1 << (2 * p.base)
 	p.offs = engine.AcquireRows(baseTiles + 1)[:baseTiles+1]
-	p.rows = engine.AcquireRows(n)[:n]
 	return p
+}
+
+// cloneBanks copies p's levels and offsets into freshly pooled buffers,
+// leaving the postings to the caller: the copy an update works on while
+// pinned readers finish on p.
+func (p *Pyramid) cloneBanks() *Pyramid {
+	q := allocPyramid(p.pc, p.atEpoch, p.key, p.specs, p.ext, p.base, p.n)
+	for o := range p.levels {
+		src, dst := &p.levels[o], &q.levels[o]
+		copy(dst.cnt, src.cnt)
+		for j := range src.banks {
+			copy(dst.banks[j], src.banks[j])
+		}
+		copy(dst.tot, src.tot)
+		copy(dst.bminx, src.bminx)
+		copy(dst.bminy, src.bminy)
+		copy(dst.bmaxx, src.bmaxx)
+		copy(dst.bmaxy, src.bmaxy)
+	}
+	copy(q.offs, p.offs)
+	return q
 }
 
 // recycle returns every pooled buffer. Called only by the reference count
@@ -220,10 +255,9 @@ func (p *Pyramid) build(run *engine.Run, ex *engine.Explain) error {
 // order boundary refinement folds in).
 func (p *Pyramid) buildMeta(run *engine.Run) error {
 	bl := &p.levels[p.base]
-	order := bl.grid.Order
-	ntiles := 1 << (2 * order)
+	ntiles := 1 << (2 * bl.grid.Order)
 	xs, ys := p.pc.X(), p.pc.Y()
-	n := len(xs)
+	n := p.n
 	for t := 0; t < ntiles; t++ {
 		bl.tot[t] = 0
 		bl.bminx[t] = math.Inf(1)
@@ -239,23 +273,8 @@ func (p *Pyramid) buildMeta(run *engine.Run) error {
 			run.RecycleRows(tiles)
 			return cancel.ErrCancelled
 		}
-		x, y := xs[r], ys[r]
-		cx, cy := bl.grid.Cell(x, y)
-		t := int(cy)<<order | int(cx)
+		t := bl.addRow(xs[r], ys[r])
 		tiles[r] = t
-		bl.tot[t]++
-		if x < bl.bminx[t] {
-			bl.bminx[t] = x
-		}
-		if x > bl.bmaxx[t] {
-			bl.bmaxx[t] = x
-		}
-		if y < bl.bminy[t] {
-			bl.bminy[t] = y
-		}
-		if y > bl.bmaxy[t] {
-			bl.bmaxy[t] = y
-		}
 		p.offs[t+1]++
 	}
 	for t := 0; t < ntiles; t++ {
@@ -273,13 +292,50 @@ func (p *Pyramid) buildMeta(run *engine.Run) error {
 	return nil
 }
 
-// foldLevel folds the four children of every dst tile in fixed ascending
-// (dy, dx) order: counts and sums add, min/max fold strictly, bounding
-// boxes and totals union. The fixed order keeps sum folds deterministic;
-// count/min/max are order-exact regardless.
+// addRow folds one row at (x, y) into the tile it quantises to — row
+// total and data bounding box, strict compares in row order — and
+// returns the tile.
+func (l *level) addRow(x, y float64) int {
+	cx, cy := l.grid.Cell(x, y)
+	t := int(cy)<<l.grid.Order | int(cx)
+	l.tot[t]++
+	if x < l.bminx[t] {
+		l.bminx[t] = x
+	}
+	if x > l.bmaxx[t] {
+		l.bmaxx[t] = x
+	}
+	if y < l.bminy[t] {
+		l.bminy[t] = y
+	}
+	if y > l.bmaxy[t] {
+		l.bmaxy[t] = y
+	}
+	return t
+}
+
+// foldLevel refolds every dst tile from its four children.
 func foldLevel(dst, src *level, specs []engine.GroupedAggSpec) {
+	nx := 1 << dst.grid.Order
+	for cy := 0; cy < nx; cy++ {
+		for cx := 0; cx < nx; cx++ {
+			foldTile(dst, src, specs, cx, cy)
+		}
+	}
+}
+
+// foldTile reseeds dst tile (cx, cy) and folds its four children in fixed
+// ascending (dy, dx) order: counts and sums add, min/max fold strictly,
+// bounding boxes and totals union. The fixed order keeps sum folds
+// deterministic (count/min/max are order-exact regardless) and makes a
+// refold of one tile equal to its fold in a full foldLevel.
+func foldTile(dst, src *level, specs []engine.GroupedAggSpec, cx, cy int) {
 	order := dst.grid.Order
-	nx := 1 << order
+	t := cy<<order | cx
+	db := dst.cnt[t*tileDom : (t+1)*tileDom]
+	for k := range db {
+		db[k] = 0
+	}
 	for j, s := range specs {
 		seed := 0.0
 		switch s.Fn {
@@ -288,64 +344,55 @@ func foldLevel(dst, src *level, specs []engine.GroupedAggSpec) {
 		case engine.AggMax:
 			seed = math.Inf(-1)
 		}
-		b := dst.banks[j]
-		for i := range b {
-			b[i] = seed
+		dj := dst.banks[j][t*tileDom : (t+1)*tileDom]
+		for k := range dj {
+			dj[k] = seed
 		}
 	}
-	for i := range dst.cnt {
-		dst.cnt[i] = 0
-	}
-	for cy := 0; cy < nx; cy++ {
-		for cx := 0; cx < nx; cx++ {
-			t := cy<<order | cx
-			dst.tot[t] = 0
-			dst.bminx[t] = math.Inf(1)
-			dst.bminy[t] = math.Inf(1)
-			dst.bmaxx[t] = math.Inf(-1)
-			dst.bmaxy[t] = math.Inf(-1)
-			for dy := 0; dy < 2; dy++ {
-				for dx := 0; dx < 2; dx++ {
-					st := (2*cy+dy)<<(order+1) | (2*cx + dx)
-					dst.tot[t] += src.tot[st]
-					if src.bminx[st] < dst.bminx[t] {
-						dst.bminx[t] = src.bminx[st]
-					}
-					if src.bminy[st] < dst.bminy[t] {
-						dst.bminy[t] = src.bminy[st]
-					}
-					if src.bmaxx[st] > dst.bmaxx[t] {
-						dst.bmaxx[t] = src.bmaxx[st]
-					}
-					if src.bmaxy[st] > dst.bmaxy[t] {
-						dst.bmaxy[t] = src.bmaxy[st]
-					}
-					db := dst.cnt[t*tileDom : (t+1)*tileDom]
-					sb := src.cnt[st*tileDom : (st+1)*tileDom]
-					for k := range db {
-						db[k] += sb[k]
-					}
-					for j, s := range specs {
-						dj := dst.banks[j][t*tileDom : (t+1)*tileDom]
-						sj := src.banks[j][st*tileDom : (st+1)*tileDom]
-						switch s.Fn {
-						case engine.AggMin:
-							for k := range dj {
-								if sj[k] < dj[k] {
-									dj[k] = sj[k]
-								}
-							}
-						case engine.AggMax:
-							for k := range dj {
-								if sj[k] > dj[k] {
-									dj[k] = sj[k]
-								}
-							}
-						default: // AggSum: children fold in fixed ascending order
-							for k := range dj {
-								dj[k] += sj[k]
-							}
+	dst.tot[t] = 0
+	dst.bminx[t] = math.Inf(1)
+	dst.bminy[t] = math.Inf(1)
+	dst.bmaxx[t] = math.Inf(-1)
+	dst.bmaxy[t] = math.Inf(-1)
+	for dy := 0; dy < 2; dy++ {
+		for dx := 0; dx < 2; dx++ {
+			st := (2*cy+dy)<<(order+1) | (2*cx + dx)
+			dst.tot[t] += src.tot[st]
+			if src.bminx[st] < dst.bminx[t] {
+				dst.bminx[t] = src.bminx[st]
+			}
+			if src.bminy[st] < dst.bminy[t] {
+				dst.bminy[t] = src.bminy[st]
+			}
+			if src.bmaxx[st] > dst.bmaxx[t] {
+				dst.bmaxx[t] = src.bmaxx[st]
+			}
+			if src.bmaxy[st] > dst.bmaxy[t] {
+				dst.bmaxy[t] = src.bmaxy[st]
+			}
+			sb := src.cnt[st*tileDom : (st+1)*tileDom]
+			for k := range db {
+				db[k] += sb[k]
+			}
+			for j, s := range specs {
+				dj := dst.banks[j][t*tileDom : (t+1)*tileDom]
+				sj := src.banks[j][st*tileDom : (st+1)*tileDom]
+				switch s.Fn {
+				case engine.AggMin:
+					for k := range dj {
+						if sj[k] < dj[k] {
+							dj[k] = sj[k]
 						}
+					}
+				case engine.AggMax:
+					for k := range dj {
+						if sj[k] > dj[k] {
+							dj[k] = sj[k]
+						}
+					}
+				default: // AggSum: children fold in fixed ascending order
+					for k := range dj {
+						dj[k] += sj[k]
 					}
 				}
 			}
@@ -479,6 +526,7 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 	// their pre-aggregates immediately (the deterministic tile order);
 	// boundary tiles queue for exact refinement.
 	span := int(x1-x0+1) * int(y1-y0+1)
+	itiles := run.AcquireRows(span)[:0]
 	btiles := run.AcquireRows(span)[:0]
 	boundRows := 0
 	for cy := y0; cy <= y1; cy++ {
@@ -491,6 +539,7 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 			switch region.Classify(box) {
 			case geom.BoxInside:
 				qs.Interior++
+				itiles = append(itiles, t)
 				base := t * tileDom
 				cb := l.cnt[base : base+tileDom]
 				for k, c := range cb {
@@ -534,46 +583,26 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 	// same envelope check + Contains test the grid refiner applies, in
 	// (tile, row) ascending order, then fold them through the exact dense
 	// kernels.
+	var rbuf []int
+	var err error
 	if len(btiles) > 0 {
-		xs, ys := p.pc.X(), p.pc.Y()
-		d := p.base - order
-		rbuf := run.AcquireRows(boundRows)[:0]
-		for bi, t := range btiles {
-			if bi%8 == 0 && run.Cancelled() {
-				run.RecycleRows(rbuf)
-				run.RecycleRows(btiles)
-				run.RecycleF64(slab)
-				return qs, false, cancel.ErrCancelled
-			}
-			cx := uint32(t) & last
-			cy := uint32(t) >> order
-			for sy := int(cy) << d; sy < int(cy+1)<<d; sy++ {
-				for sx := int(cx) << d; sx < int(cx+1)<<d; sx++ {
-					st := sy<<p.base | sx
-					for _, r := range p.rows[p.offs[st]:p.offs[st+1]] {
-						x, y := xs[r], ys[r]
-						if x < env.MinX || x > env.MaxX || y < env.MinY || y > env.MaxY {
-							continue
-						}
-						if region.Contains(x, y) {
-							rbuf = append(rbuf, r)
-						}
-					}
-				}
-			}
-		}
+		rbuf = run.AcquireRows(boundRows)[:0]
+		rbuf, err = p.boundaryRows(run, region, env, order, btiles, rbuf)
 		qs.BoundaryRows = len(rbuf)
-		if len(rbuf) > 0 {
-			if err := p.pc.GroupedAccumulateRows(rbuf, p.key, specs, slab); err != nil {
-				run.RecycleRows(rbuf)
-				run.RecycleRows(btiles)
-				run.RecycleF64(slab)
-				return qs, false, err
-			}
+		if err == nil && len(rbuf) > 0 {
+			err = p.pc.GroupedAccumulateRows(rbuf, p.key, specs, slab)
 		}
-		run.RecycleRows(rbuf)
 	}
+	if err == nil {
+		p.settleZeroSigns(l, specs, bmap, qcnt, slab, itiles, rbuf)
+	}
+	run.RecycleRows(rbuf)
 	run.RecycleRows(btiles)
+	run.RecycleRows(itiles)
+	if err != nil {
+		run.RecycleF64(slab)
+		return qs, false, err
+	}
 
 	// Emit groups in ascending class order — FloatOrderKey order for u8
 	// keys, the same order the engine's dense strategy produces.
@@ -594,4 +623,99 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 	run.RecycleF64(slab)
 	countQuery(&qs)
 	return qs, true, nil
+}
+
+// boundaryRows appends to rbuf the rows of the boundary tiles btiles (at
+// the given order) that pass the envelope check and region.Contains, in
+// (tile, row) ascending order, polling the run's cancellation token.
+func (p *Pyramid) boundaryRows(run *engine.Run, region grid.Region, env geom.Envelope, order uint, btiles, rbuf []int) ([]int, error) {
+	xs, ys := p.pc.X(), p.pc.Y()
+	d := p.base - order
+	last := uint32(1)<<order - 1
+	for bi, t := range btiles {
+		if bi%8 == 0 && run.Cancelled() {
+			return rbuf, cancel.ErrCancelled
+		}
+		cx := uint32(t) & last
+		cy := uint32(t) >> order
+		for sy := int(cy) << d; sy < int(cy+1)<<d; sy++ {
+			for sx := int(cx) << d; sx < int(cx+1)<<d; sx++ {
+				st := sy<<p.base | sx
+				for _, r := range p.rows[p.offs[st]:p.offs[st+1]] {
+					x, y := xs[r], ys[r]
+					if x < env.MinX || x > env.MaxX || y < env.MinY || y > env.MaxY {
+						continue
+					}
+					if region.Contains(x, y) {
+						rbuf = append(rbuf, r)
+					}
+				}
+			}
+		}
+	}
+	return rbuf, nil
+}
+
+// settleZeroSigns gives every zero min/max answer the sign the exact arm
+// gives it. Strict compares keep the first zero a fold meets, so the
+// exact arm, folding in row order, answers with the sign of the class's
+// first zero-valued row; the pyramid folds tile by tile and may have met
+// a zero of the other sign first. Only float64 columns have signed
+// zeros. For each zero answer the first such row is found among the
+// interior tiles whose own answer is zero — their base postings are
+// ascending, so each scan stops at its first hit — and the boundary rows
+// rbuf, and its value is copied. Answers that are not zero cost one
+// compare per slot.
+func (p *Pyramid) settleZeroSigns(l *level, specs []engine.GroupedAggSpec, bmap []int, qcnt, slab []float64, itiles, rbuf []int) {
+	var keys []uint8
+	for j, s := range specs {
+		if s.Fn != engine.AggMin && s.Fn != engine.AggMax {
+			continue
+		}
+		dst := slab[(1+j)*tileDom : (2+j)*tileDom]
+		var vals []float64
+		for k, v := range dst {
+			if v != 0 || qcnt[k] == 0 {
+				continue
+			}
+			if vals == nil {
+				col, ok := p.pc.Column(s.Column).(*colstore.F64Column)
+				if !ok {
+					break
+				}
+				vals = col.Values()
+				keys = p.pc.Column(p.key).(*colstore.U8Column).Values()
+			}
+			first := len(vals)
+			d := p.base - l.grid.Order
+			for _, t := range itiles {
+				if l.banks[bmap[j]][t*tileDom+k] != 0 {
+					continue
+				}
+				cx, cy := t&(1<<l.grid.Order-1), t>>l.grid.Order
+				for sy := cy << d; sy < (cy+1)<<d; sy++ {
+					for sx := cx << d; sx < (cx+1)<<d; sx++ {
+						st := sy<<p.base | sx
+						for _, r := range p.rows[p.offs[st]:p.offs[st+1]] {
+							if r >= first {
+								break
+							}
+							if keys[r] == uint8(k) && vals[r] == 0 {
+								first = r
+								break
+							}
+						}
+					}
+				}
+			}
+			for _, r := range rbuf {
+				if r < first && keys[r] == uint8(k) && vals[r] == 0 {
+					first = r
+				}
+			}
+			if first < len(vals) {
+				dst[k] = vals[first]
+			}
+		}
+	}
 }

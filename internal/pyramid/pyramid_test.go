@@ -329,7 +329,7 @@ func TestPyramidPoolBalance(t *testing.T) {
 	// Drop the cache's own reference by bumping the epoch and looking up.
 	pc.InvalidateIndexes()
 	sig, _ := Shape(pc, engine.ColClassification, specs)
-	if got := shared.lookup(pc, sig, pc.Epoch()); got != nil {
+	if got, _, _ := shared.lookup(pc, sig, pc.Epoch()); got != nil {
 		t.Fatal("stale pyramid served after InvalidateIndexes")
 	}
 
@@ -338,5 +338,54 @@ func TestPyramidPoolBalance(t *testing.T) {
 	}
 	if d := engine.F64PoolStats().Outstanding - f64Before; d != 0 {
 		t.Fatalf("f64 pool drifted by %d buffers", d)
+	}
+}
+
+// TestPyramidZeroSignFollowsRowOrder pins the one tie count/min/max folds
+// do not merge exactly: a class whose extreme is zero answers with the
+// sign of its first zero-valued row in row order, as the exact arm does,
+// even when the pyramid's tile order meets the other sign first.
+func TestPyramidZeroSignFollowsRowOrder(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	pts := []las.Point{
+		{X: 900, Y: 900, Classification: 1, GPSTime: 0},       // first in row order, last tile
+		{X: 100, Y: 100, Classification: 1, GPSTime: negZero}, // first tile
+		{X: 0, Y: 0, Classification: 2, GPSTime: 5},
+		{X: 1000, Y: 1000, Classification: 2, GPSTime: 5},
+	}
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 20_000; i++ {
+		pts = append(pts, las.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000,
+			Classification: 2, GPSTime: 1 + rng.Float64()})
+	}
+	pc := engine.NewPointCloud()
+	pc.AppendLAS(pts)
+	specs := []engine.GroupedAggSpec{
+		{Fn: engine.AggCount},
+		{Fn: engine.AggMin, Column: engine.ColGPSTime},
+		{Fn: engine.AggMax, Column: engine.ColGPSTime},
+	}
+	p, run := buildPyramid(t, pc, specs)
+	defer func() {
+		p.Release()
+		run.Drain()
+		sig, _ := Shape(pc, engine.ColClassification, specs)
+		dropEntry(pc, sig)
+	}()
+	for _, env := range []geom.Envelope{
+		geom.NewEnvelope(-10, -10, 1010, 1010), // every tile interior
+		geom.NewEnvelope(50, 50, 950, 950),     // both rows in boundary tiles
+		geom.NewEnvelope(50, 50, 1010, 1010),   // one of each
+	} {
+		region := grid.GeometryRegion{G: env.ToPolygon()}
+		var res engine.GroupedResult
+		if _, ok, err := p.QueryRegionRun(run, region, specs, &res); err != nil || !ok {
+			t.Fatalf("query: ok=%v err=%v", ok, err)
+		}
+		want := exactGrouped(t, pc, region, specs)
+		if math.Signbit(want.Cols[1][0]) || math.Signbit(want.Cols[2][0]) {
+			t.Fatal("the exact arm should answer +0: row 0 holds the first zero")
+		}
+		sameGrouped(t, env.String(), &res, want)
 	}
 }

@@ -321,8 +321,9 @@ func groupedTail(p *queryPlan, stmt *SelectStmt, gp *groupedPlan, res *Result) e
 // exact selection + grouped-kernel path with nothing consumed: the
 // pyramid declines tables it cannot tile (empty, degenerate extent),
 // regions whose envelopes it cannot span, and disabled routing. The
-// pyramid itself is cached per (table, epoch, shape); an epoch bump
-// (Append/InvalidateIndexes) drops it lazily on next lookup.
+// pyramid itself is cached per (table, epoch, shape); after an epoch bump
+// the next lookup extends it over appended rows, or drops and rebuilds it
+// (InvalidateIndexes, rows outside its extent, a new base tiling).
 func (pq *PreparedQuery) tryPyramid(rs *engine.Run, p *queryPlan, ex *engine.Explain) (res *Result, ok bool, err error) {
 	gp := p.grouped
 	if p.out != outGrouped || gp == nil || gp.pyrSig == "" ||

@@ -16,8 +16,8 @@
 // table schema, so a plan is valid only for the table epochs it was built
 // against. buildPlan captures each bound table's epoch BEFORE reading any
 // table state; Run revalidates the captured epochs and replans on
-// mismatch. Appends bump the epoch (PointCloud.InvalidateIndexes,
-// VectorTable.Append), so a cached statement can never serve a plan bound
+// mismatch. Appends bump the epoch (PointCloud.AppendLAS and the loaders,
+// PointCloud.InvalidateIndexes, VectorTable.Append), so a cached statement can never serve a plan bound
 // to moved arrays. Re-registering a different table under the same catalog
 // name is NOT covered — plans bind table pointers, not names.
 //
