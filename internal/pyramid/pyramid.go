@@ -668,6 +668,8 @@ func (p *Pyramid) boundaryRows(run *engine.Run, region grid.Region, env geom.Env
 // compare per slot.
 func (p *Pyramid) settleZeroSigns(l *level, specs []engine.GroupedAggSpec, bmap []int, qcnt, slab []float64, itiles, rbuf []int) {
 	var keys []uint8
+	order := l.grid.Order
+	d := p.base - order
 	for j, s := range specs {
 		if s.Fn != engine.AggMin && s.Fn != engine.AggMax {
 			continue
@@ -687,12 +689,11 @@ func (p *Pyramid) settleZeroSigns(l *level, specs []engine.GroupedAggSpec, bmap 
 				keys = p.pc.Column(p.key).(*colstore.U8Column).Values()
 			}
 			first := len(vals)
-			d := p.base - l.grid.Order
 			for _, t := range itiles {
 				if l.banks[bmap[j]][t*tileDom+k] != 0 {
 					continue
 				}
-				cx, cy := t&(1<<l.grid.Order-1), t>>l.grid.Order
+				cx, cy := t&(1<<order-1), t>>order
 				for sy := cy << d; sy < (cy+1)<<d; sy++ {
 					for sx := cx << d; sx < (cx+1)<<d; sx++ {
 						st := sy<<p.base | sx
