@@ -402,7 +402,7 @@ func BenchmarkFilterRangeIndexedKernel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := f.pc.FilterRangeIndexed(engine.ColZ, lo, hi, nil)
+		rows, err := f.pc.FilterRangeIndexed(nil, engine.ColZ, lo, hi, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -33,6 +33,7 @@ import (
 	"gisnav/internal/imprints"
 	"gisnav/internal/las"
 	"gisnav/internal/lastools"
+	"gisnav/internal/morsel"
 	"gisnav/internal/sfc"
 	"gisnav/internal/sql"
 	"gisnav/internal/synth"
@@ -799,7 +800,7 @@ func expAblation(env *benchEnv, w io.Writer, repeats int) {
 		}
 		var nIdx int
 		dIdx := bench.MeasureN(repeats, func() {
-			rows, err := env.pc.FilterRangeIndexed(columnOf(c.name), c.lo, c.hi, exI)
+			rows, err := env.pc.FilterRangeIndexed(nil, columnOf(c.name), c.lo, c.hi, exI)
 			if err != nil {
 				fmt.Fprintln(w, "range:", err)
 				return
@@ -835,11 +836,11 @@ func expAblation(env *benchEnv, w io.Writer, repeats int) {
 	selSer := env.pc.SelectRegion(bigRegion)
 	dSer := bench.MeasureN(repeats, func() { env.pc.SelectRegion(bigRegion) })
 	t6.AddRow("serial", dSer, len(selSer.Rows))
-	env.pc.Parallel = true
-	selPar := env.pc.SelectRegion(bigRegion)
-	dPar := bench.MeasureN(repeats, func() { env.pc.SelectRegion(bigRegion) })
-	env.pc.Parallel = false
-	t6.AddRow("parallel (auto workers)", dPar, len(selPar.Rows))
+	parRun := new(engine.Run)
+	parRun.SetMaxParallel(morsel.Workers())
+	selPar := env.pc.SelectRegionRun(parRun, bigRegion)
+	dPar := bench.MeasureN(repeats, func() { env.pc.SelectRegionRun(parRun, bigRegion) })
+	t6.AddRow(fmt.Sprintf("parallel (cap %d)", morsel.Workers()), dPar, len(selPar.Rows))
 	t6.WriteTo(w)
 
 	// Block-store curve sweep.

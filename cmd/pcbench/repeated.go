@@ -63,7 +63,7 @@ func expRepeated(env *benchEnv, w io.Writer, repeats int) {
 	var zRows int
 	dColdT := bench.MeasureN(repeats, func() {
 		env.pc.InvalidateIndexes()
-		sel, err := env.pc.FilterRangeIndexed(engine.ColZ, lo, hi, nil)
+		sel, err := env.pc.FilterRangeIndexed(nil, engine.ColZ, lo, hi, nil)
 		if err != nil {
 			fmt.Fprintln(w, "E12:", err)
 			return
@@ -72,7 +72,7 @@ func expRepeated(env *benchEnv, w io.Writer, repeats int) {
 		engine.RecycleRows(sel)
 	})
 	dSteadyT := bench.MeasureN(reps, func() {
-		sel, err := env.pc.FilterRangeIndexed(engine.ColZ, lo, hi, nil)
+		sel, err := env.pc.FilterRangeIndexed(nil, engine.ColZ, lo, hi, nil)
 		if err != nil {
 			return
 		}
@@ -80,7 +80,7 @@ func expRepeated(env *benchEnv, w io.Writer, repeats int) {
 		engine.RecycleRows(sel)
 	})
 	allocsT := testing.AllocsPerRun(20, func() {
-		sel, _ := env.pc.FilterRangeIndexed(engine.ColZ, lo, hi, nil)
+		sel, _ := env.pc.FilterRangeIndexed(nil, engine.ColZ, lo, hi, nil)
 		engine.RecycleRows(sel)
 	})
 	tbl.AddRow("z range filter", "cold (rebuild per query)", dColdT, "-", zRows)

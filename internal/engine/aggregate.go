@@ -53,10 +53,11 @@ func (pc *PointCloud) Aggregate(rows []int, fn AggFunc, column string, ex *Expla
 // AggregateRun is Aggregate under a query lifecycle. Min and max over
 // large inputs fan across the resident worker set (morsel.go): strict
 // folds merged in ascending-partition order are bit-identical to the
-// serial ascending fold. Sum and avg always run serial — float addition
-// is not associative, and sums are pinned bit-identical to the
-// row-at-a-time loop — and so does count, which reads no values at all.
-// A nil run behaves exactly like Aggregate.
+// ascending fold. Sum and avg always run at degree 1 — float addition is
+// not associative, and sums are pinned bit-identical to the row-at-a-time
+// loop — and count reads no values at all. The fold polls the run's
+// cancellation token once per scanChunk block. A nil run behaves exactly
+// like Aggregate.
 func (pc *PointCloud) AggregateRun(run *Run, rows []int, fn AggFunc, column string, ex *Explain) (float64, error) {
 	start := time.Now()
 	n := len(rows)
@@ -76,20 +77,11 @@ func (pc *PointCloud) AggregateRun(run *Run, rows []int, fn AggFunc, column stri
 	}
 	deg := 1
 	if fn == AggMin || fn == AggMax {
-		deg = pc.morselDegree(run, n)
+		deg = morselDegree(run, n)
 	}
-	var sum, lo, hi float64
-	if deg > 1 {
-		var err error
-		lo, hi, err = aggMorsel(run, col, rows, all, n, deg)
-		if err != nil {
-			return 0, err
-		}
-		if run.Cancelled() {
-			return 0, cancel.ErrCancelled
-		}
-	} else {
-		sum, lo, hi = aggColumn(col, rows, all)
+	sum, lo, hi, err := aggregate(run, col, rows, all, n, deg)
+	if err != nil {
+		return 0, err
 	}
 	var res float64
 	switch fn {
@@ -123,26 +115,34 @@ func (pc *PointCloud) AggregateRun(run *Run, rows []int, fn AggFunc, column stri
 	return res, nil
 }
 
-// aggColumn dispatches to the typed fused sum/min/max kernel for col's
-// concrete type. all selects the full-column path; otherwise rows drives a
-// selection-vector gather.
-func aggColumn(col colstore.Column, rows []int, all bool) (sum, lo, hi float64) {
+// aggColumn folds sum, min and max over the span [start, end) of the
+// selection (or of the full column when all), dispatching once to the
+// typed fused kernel for col's concrete type.
+func aggColumn(col colstore.Column, rows []int, all bool, start, end int, tok *cancel.Token) (sum, lo, hi float64) {
 	switch t := col.(type) {
 	case *colstore.F64Column:
-		return aggVals(t.Values(), rows, all)
+		return aggVals(t.Values(), rows, all, start, end, tok)
 	case *colstore.I64Column:
-		return aggVals(t.Values(), rows, all)
+		return aggVals(t.Values(), rows, all, start, end, tok)
 	case *colstore.I32Column:
-		return aggVals(t.Values(), rows, all)
+		return aggVals(t.Values(), rows, all, start, end, tok)
 	case *colstore.U16Column:
-		return aggVals(t.Values(), rows, all)
+		return aggVals(t.Values(), rows, all, start, end, tok)
 	case *colstore.U8Column:
-		return aggVals(t.Values(), rows, all)
+		return aggVals(t.Values(), rows, all, start, end, tok)
 	default:
 		lo, hi = math.Inf(1), math.Inf(-1)
-		if all {
-			for i, n := 0, col.Len(); i < n; i++ {
-				v := col.Value(i)
+		for b := start; b < end; b += scanChunk {
+			if tok.Cancelled() {
+				break
+			}
+			be := min(b+scanChunk, end)
+			for i := b; i < be; i++ {
+				r := i
+				if !all {
+					r = rows[i]
+				}
+				v := col.Value(r)
 				sum += v
 				if v < lo {
 					lo = v
@@ -151,30 +151,38 @@ func aggColumn(col colstore.Column, rows []int, all bool) (sum, lo, hi float64) 
 					hi = v
 				}
 			}
-			return sum, lo, hi
-		}
-		for _, r := range rows {
-			v := col.Value(r)
-			sum += v
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
 		}
 		return sum, lo, hi
 	}
 }
 
-// aggVals is the monomorphic fused sum/min/max loop. Values widen to
-// float64 exactly as the generic Value() path does; for an empty input the
-// min/max stay at ±Inf (callers gate on n == 0 before using them).
-func aggVals[T number](vals []T, rows []int, all bool) (sum, lo, hi float64) {
+// aggVals is the monomorphic fused sum/min/max loop, polling tok once
+// per scanChunk block. Values widen to float64 exactly as the generic
+// Value() path does and accumulate in ascending row order across blocks;
+// for an empty span the min/max stay at ±Inf (callers gate on n == 0
+// before using them).
+func aggVals[T number](vals []T, rows []int, all bool, start, end int, tok *cancel.Token) (sum, lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
-	if all {
-		for _, t := range vals {
-			v := float64(t)
+	for b := start; b < end; b += scanChunk {
+		if tok.Cancelled() {
+			break
+		}
+		be := min(b+scanChunk, end)
+		if all {
+			for _, t := range vals[b:be] {
+				v := float64(t)
+				sum += v
+				if v < lo {
+					lo = v
+				}
+				if v > hi {
+					hi = v
+				}
+			}
+			continue
+		}
+		for _, r := range rows[b:be] {
+			v := float64(vals[r])
 			sum += v
 			if v < lo {
 				lo = v
@@ -182,17 +190,6 @@ func aggVals[T number](vals []T, rows []int, all bool) (sum, lo, hi float64) {
 			if v > hi {
 				hi = v
 			}
-		}
-		return sum, lo, hi
-	}
-	for _, r := range rows {
-		v := float64(vals[r])
-		sum += v
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
 		}
 	}
 	return sum, lo, hi

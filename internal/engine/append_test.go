@@ -63,7 +63,7 @@ func TestAppendExtendsImprints(t *testing.T) {
 		sel.Release()
 		scan.Release()
 
-		idx, err := pc.FilterRangeIndexed(ColZ, 20, 35, nil)
+		idx, err := pc.FilterRangeIndexed(nil, ColZ, 20, 35, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,9 +68,12 @@ func wideSelectivity(est, n int) bool { return n > 0 && 2*est >= n }
 // range kernel over the candidate blocks. Wide predicates (imprint
 // estimate at least half the table) skip candidate-range generation and
 // drive the kernel over the full column; large candidate sets fan across
-// the resident worker set (morsel.go). The result equals a full-column
-// scan. The returned vector is pooled; RecycleRows hands it back.
-func (pc *PointCloud) FilterRangeIndexed(name string, lo, hi float64, ex *Explain) ([]int, error) {
+// the resident worker set up to run's degree cap (morsel.go). The result
+// equals a full-column scan. Under a run, as in FilterRowsRun, pooled
+// buffers register in the run's release list; hand the returned vector
+// back with run.RecycleRows. A nil run is serial and untracked
+// (RecycleRows).
+func (pc *PointCloud) FilterRangeIndexed(run *Run, name string, lo, hi float64, ex *Explain) ([]int, error) {
 	im, err := pc.EnsureColumnImprint(name)
 	if err != nil {
 		return nil, err
@@ -84,11 +87,11 @@ func (pc *PointCloud) FilterRangeIndexed(name string, lo, hi float64, ex *Explai
 	}
 	var cand []colstore.Range
 	if wideSelectivity(est, n) {
-		cand = append(getRangeBuf(1), colstore.Range{End: n})
+		cand = run.trackRanges(append(getRangeBuf(1), colstore.Range{End: n}))
 	} else {
-		cand = im.CandidateRangesInto(lo, hi, getRangeBuf(0))
+		cand = run.trackRanges(im.CandidateRangesInto(lo, hi, getRangeBuf(0)))
 	}
-	defer RecycleRanges(cand)
+	defer run.recycleRanges(cand)
 	if ex != nil {
 		ex.Add(opImprintsFilter, fmt.Sprintf("%s in [%g, %g]", name, lo, hi),
 			n, colstore.RangesLen(cand), time.Since(start))
@@ -98,19 +101,15 @@ func (pc *PointCloud) FilterRangeIndexed(name string, lo, hi float64, ex *Explai
 	k := pc.compileRangeCached(col, name)
 	a := k.Bind(lo, hi)
 	// The imprint estimate bounds the match count, so the vector is sized
-	// once and the block drive (serial or merged) appends without growth.
-	rows := getRowBuf(est)
-	deg := pc.morselDegree(nil, colstore.RangesLen(cand))
-	if deg > 1 {
-		rows, err = filterBlocksMorsel(k, a, cand, deg, rows)
-		if err != nil {
-			RecycleRows(rows)
-			return nil, err
-		}
-	} else {
-		for _, r := range cand {
-			rows = k.FilterBlock(a, r.Start, r.End, rows)
-		}
+	// once and the partitions append without growth. Track-then-swap, as
+	// in FilterRowsRun.
+	deg := morselDegree(run, colstore.RangesLen(cand))
+	buf := run.TrackRows(getRowBuf(est))
+	res, err := filterBlocks(k, a, cand, deg, buf)
+	rows := run.SwapRows(buf, res)
+	if err != nil {
+		run.RecycleRows(rows)
+		return nil, err
 	}
 	if ex != nil {
 		detail := fmt.Sprintf("exact tests on %s", name)

@@ -19,7 +19,7 @@ func TestFilterRangeIndexedMatchesScan(t *testing.T) {
 	}
 	for _, c := range cases {
 		ex := &Explain{}
-		indexed, err := pc.FilterRangeIndexed(c.col, c.lo, c.hi, ex)
+		indexed, err := pc.FilterRangeIndexed(nil, c.col, c.lo, c.hi, ex)
 		if err != nil {
 			t.Fatalf("%s: %v", c.col, err)
 		}
@@ -68,7 +68,7 @@ func TestColumnImprintUnknownColumn(t *testing.T) {
 		t.Fatal("unknown column should error")
 	}
 	ex := &Explain{}
-	if _, err := pc.FilterRangeIndexed("bogus", 0, 1, ex); err == nil {
+	if _, err := pc.FilterRangeIndexed(nil, "bogus", 0, 1, ex); err == nil {
 		t.Fatal("unknown column should error")
 	}
 	if _, err := pc.FilterRangeScan("bogus", 0, 1, ex); err == nil {
@@ -84,7 +84,7 @@ func TestFilterRangeIndexedPrunes(t *testing.T) {
 	col := pc.Column(ColGPSTime)
 	lo, hi, _ := col.MinMax()
 	window := lo + (hi-lo)*0.01
-	if _, err := pc.FilterRangeIndexed(ColGPSTime, lo, window, ex); err != nil {
+	if _, err := pc.FilterRangeIndexed(nil, ColGPSTime, lo, window, ex); err != nil {
 		t.Fatal(err)
 	}
 	var candidates int

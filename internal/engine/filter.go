@@ -141,18 +141,14 @@ func (pc *PointCloud) FilterRowsRun(run *Run, rows []int, preds []ColumnPred, ex
 			// FilterBlock may grow (and so reallocate) what it was handed.
 			// Large tables fan the kernel across the resident worker set
 			// (morsel.go); the imprint estimate pre-sizes the vector so the
-			// parallel merge appends without growth in the common case.
+			// partitions append without growth in the common case.
 			buf := run.TrackRows(getRowBuf(pc.predHint(pred)))
-			deg := pc.morselDegree(run, pc.Len())
-			if deg > 1 {
-				res, ferr := filterFullMorsel(k, a, pc.Len(), deg, buf)
-				rows = run.SwapRows(buf, res)
-				if ferr != nil {
-					run.RecycleRows(rows)
-					return nil, ferr
-				}
-			} else {
-				rows = run.SwapRows(buf, k.FilterBlock(a, 0, pc.Len(), buf))
+			deg := morselDegree(run, pc.Len())
+			res, ferr := filterFull(k, a, pc.Len(), deg, buf)
+			rows = run.SwapRows(buf, res)
+			if ferr != nil {
+				run.RecycleRows(rows)
+				return nil, ferr
 			}
 			owned = true
 			if ex != nil {

@@ -123,13 +123,13 @@ func (pc *PointCloud) GroupedAggregate(rows []int, key string, specs []GroupedAg
 // groupPassCheckpoint is the block boundary between grouped-aggregation
 // passes (this layer executes operator-at-a-time, so "block" here is one
 // full accumulate pass): a fault-injection point plus one cancellation
-// poll. Pooled scratch is recycled by the caller before the error
-// propagates.
-func groupPassCheckpoint(run *Run) error {
+// poll. A partition parks the error for its driver, which recycles pooled
+// scratch before the error propagates.
+func groupPassCheckpoint(tok *cancel.Token) error {
 	if err := faultpoint.Hit("engine.groupagg.pass"); err != nil {
 		return err
 	}
-	if run.Cancelled() {
+	if tok.Cancelled() {
 		return cancel.ErrCancelled
 	}
 	return nil
@@ -166,39 +166,31 @@ func (pc *PointCloud) GroupedAggregateRun(run *Run, rows []int, key string, spec
 	}
 	res.reset(len(specs))
 
-	// Strategy choice is independent of parallelism (so the recorded
-	// strategy and the output match the serial path exactly); within a
-	// strategy, large inputs fan across the resident worker set when every
-	// spec merges exactly across partitions (specsMergeExact — sum/avg
-	// plans stay serial to keep sums bit-identical to the ascending fold).
+	// Strategy choice is independent of the degree, so the recorded
+	// strategy and the output are the same at every degree; large inputs
+	// fan across the resident worker set when every spec merges exactly
+	// across partitions (specsMergeExact — sum/avg plans run at degree 1
+	// to keep sums bit-identical to the ascending fold).
 	par := 1
 	if specsMergeExact(specs) {
-		par = pc.morselDegree(run, n)
+		par = morselDegree(run, n)
 	}
-
-	switch k := keyCol.(type) {
-	case *colstore.U8Column:
-		if err := groupDense8(run, pc, k.Values(), rows, all, n, specs, res, par); err != nil {
-			return err
-		}
+	u8, _ := keyCol.(*colstore.U8Column)
+	u16, _ := keyCol.(*colstore.U16Column)
+	var err error
+	switch {
+	case u8 != nil:
 		res.Strategy = GroupDense
-	case *colstore.U16Column:
-		if n >= (1<<16)/denseMinRowsPerSlot {
-			if err := groupDense16(run, pc, k.Values(), rows, all, n, specs, res, par); err != nil {
-				return err
-			}
-			res.Strategy = GroupDense
-			break
-		}
-		if err := groupHashed(run, pc, keyCol, rows, all, n, specs, res, par); err != nil {
-			return err
-		}
-		res.Strategy = GroupHash
+		err = denseGroupPass(run, pc, u8.Values(), nil, 1<<8, rows, all, n, specs, res, par)
+	case u16 != nil && n >= (1<<16)/denseMinRowsPerSlot:
+		res.Strategy = GroupDense
+		err = denseGroupPass(run, pc, nil, u16.Values(), 1<<16, rows, all, n, specs, res, par)
 	default:
-		if err := groupHashed(run, pc, keyCol, rows, all, n, specs, res, par); err != nil {
-			return err
-		}
 		res.Strategy = GroupHash
+		err = hashGroupPass(run, pc, keyCol, rows, all, n, specs, res, par)
+	}
+	if err != nil {
+		return err
 	}
 	if ex != nil {
 		detail := fmt.Sprintf("%s key %s, %d aggs", res.Strategy, key, len(specs))
@@ -210,29 +202,6 @@ func (pc *PointCloud) GroupedAggregateRun(run *Run, rows []int, key string, spec
 	return nil
 }
 
-// groupDense8 / groupDense16 / groupHashed pick the parallel or serial
-// arm of their strategy by degree.
-func groupDense8(run *Run, pc *PointCloud, keys []uint8, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult, par int) error {
-	if par > 1 {
-		return denseGroupedMorsel(run, pc, keys, nil, 1<<8, rows, all, n, specs, res, par)
-	}
-	return denseGrouped(run, pc, keys, 1<<8, rows, all, n, specs, res)
-}
-
-func groupDense16(run *Run, pc *PointCloud, keys []uint16, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult, par int) error {
-	if par > 1 {
-		return denseGroupedMorsel(run, pc, nil, keys, 1<<16, rows, all, n, specs, res, par)
-	}
-	return denseGrouped(run, pc, keys, 1<<16, rows, all, n, specs, res)
-}
-
-func groupHashed(run *Run, pc *PointCloud, keyCol colstore.Column, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult, par int) error {
-	if par > 1 {
-		return hashGroupedMorsel(run, pc, keyCol, rows, all, n, specs, res, par)
-	}
-	return hashGrouped(run, pc, keyCol, rows, all, n, specs, res)
-}
-
 // --- dense path ----------------------------------------------------------------
 
 // denseKey covers the key column element types with array-indexable domains.
@@ -240,114 +209,57 @@ type denseKey interface {
 	~uint8 | ~uint16
 }
 
-// denseGrouped is the array-indexed strategy: one pooled bank of dom slots
-// per aggregate (plus the shared count bank), one column-at-a-time pass per
-// aggregate, then an ascending domain scan emits the non-empty groups — the
-// keys therefore come out already in FloatOrderKey order.
-func denseGrouped[K denseKey](run *Run, pc *PointCloud, keys []K, dom int, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult) error {
-	banks := run.trackF64(getF64Buf(dom * (1 + len(specs))))[:dom*(1+len(specs))]
-	if err := groupPassCheckpoint(run); err != nil {
-		run.recycleF64(banks)
-		return err
-	}
-	cnt := banks[:dom]
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	denseCount(keys, rows, all, cnt)
-	for j, s := range specs {
-		if err := groupPassCheckpoint(run); err != nil {
-			run.recycleF64(banks)
-			return err
-		}
-		bank := banks[(1+j)*dom : (2+j)*dom]
-		switch s.Fn {
-		case AggCount:
-			// Served from the shared count bank at emit time.
-		case AggMin:
-			for i := range bank {
-				bank[i] = math.Inf(1)
-			}
-			denseAccumCol(keys, pc.Column(s.Column), rows, all, AggMin, bank)
-		case AggMax:
-			for i := range bank {
-				bank[i] = math.Inf(-1)
-			}
-			denseAccumCol(keys, pc.Column(s.Column), rows, all, AggMax, bank)
-		default: // AggSum, AggAvg
-			for i := range bank {
-				bank[i] = 0
-			}
-			denseAccumCol(keys, pc.Column(s.Column), rows, all, AggSum, bank)
-		}
-	}
-	for k := 0; k < dom; k++ {
-		c := cnt[k]
-		if c == 0 {
-			continue
-		}
-		res.Keys = append(res.Keys, float64(k))
-		for j, s := range specs {
-			v := banks[(1+j)*dom+k]
-			switch s.Fn {
-			case AggCount:
-				v = c
-			case AggAvg:
-				v /= c
-			}
-			res.Cols[j] = append(res.Cols[j], v)
-		}
-	}
-	run.recycleF64(banks)
-	return nil
-}
-
-// denseCount is the group-size pass: one increment per selected row into the
-// key-indexed count bank.
-func denseCount[K denseKey](keys []K, rows []int, all bool, cnt []float64) {
+// denseCount is the group-size pass over the span [start, end) of the
+// selection (or of the full column when all): one increment per selected
+// row into the key-indexed count bank.
+func denseCount[K denseKey](keys []K, rows []int, all bool, start, end int, cnt []float64) {
 	if all {
-		for _, k := range keys {
+		for _, k := range keys[start:end] {
 			cnt[k]++
 		}
 		return
 	}
-	for _, r := range rows {
+	for _, r := range rows[start:end] {
 		cnt[keys[r]]++
 	}
 }
 
-// denseAccumCol dispatches one accumulate pass to the value column's
-// concrete type; the default arm preserves Column.Value semantics for types
-// without a typed fast path.
-func denseAccumCol[K denseKey](keys []K, col colstore.Column, rows []int, all bool, fn AggFunc, bank []float64) {
+// denseAccumCol dispatches one accumulate pass over the span [start, end)
+// to the value column's concrete type; the default arm preserves
+// Column.Value semantics for types without a typed fast path.
+func denseAccumCol[K denseKey](keys []K, col colstore.Column, rows []int, all bool, start, end int, fn AggFunc, bank []float64) {
 	switch c := col.(type) {
 	case *colstore.F64Column:
-		denseAccum(keys, c.Values(), rows, all, fn, bank)
+		denseAccum(keys, c.Values(), rows, all, start, end, fn, bank)
 	case *colstore.I64Column:
-		denseAccum(keys, c.Values(), rows, all, fn, bank)
+		denseAccum(keys, c.Values(), rows, all, start, end, fn, bank)
 	case *colstore.I32Column:
-		denseAccum(keys, c.Values(), rows, all, fn, bank)
+		denseAccum(keys, c.Values(), rows, all, start, end, fn, bank)
 	case *colstore.U16Column:
-		denseAccum(keys, c.Values(), rows, all, fn, bank)
+		denseAccum(keys, c.Values(), rows, all, start, end, fn, bank)
 	case *colstore.U8Column:
-		denseAccum(keys, c.Values(), rows, all, fn, bank)
+		denseAccum(keys, c.Values(), rows, all, start, end, fn, bank)
 	default:
-		if all {
-			for i := range keys {
-				accumOne(fn, bank, int(keys[i]), col.Value(i))
+		for i := start; i < end; i++ {
+			r := i
+			if !all {
+				r = rows[i]
 			}
-			return
-		}
-		for _, r := range rows {
 			accumOne(fn, bank, int(keys[r]), col.Value(r))
 		}
 	}
 }
 
 // denseAccum is the monomorphic scatter-accumulate loop: for each selected
-// row, fold the float64-widened value into the key-indexed slot. The fn
-// switch is hoisted above the loops so each shape scans branch-predictably.
-func denseAccum[K denseKey, V number](keys []K, vals []V, rows []int, all bool, fn AggFunc, bank []float64) {
+// row of the span, fold the float64-widened value into the key-indexed
+// slot. The fn switch is hoisted above the loops so each shape scans
+// branch-predictably.
+func denseAccum[K denseKey, V number](keys []K, vals []V, rows []int, all bool, start, end int, fn AggFunc, bank []float64) {
+	if all {
+		keys, vals = keys[start:end], vals[start:end]
+	} else {
+		rows = rows[start:end]
+	}
 	switch fn {
 	case AggMin:
 		if all {
@@ -474,126 +386,24 @@ func (g *groupHash) grow() {
 	RecycleRows(old)
 }
 
-// hashGrouped is the general-key strategy: pass 0 assigns a group slot to
-// every selected row (recorded in a selection-aligned slot vector) while
-// counting group sizes; each aggregate then runs one re-hash-free
-// scatter-accumulate pass over the slot vector. Groups are emitted in
-// first-appearance order and sorted into FloatOrderKey order at the end.
-func hashGrouped(run *Run, pc *PointCloud, keyCol colstore.Column, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult) error {
-	tabSize := 1 << 10
-	for tabSize < 4*n && tabSize < 1<<20 {
-		tabSize <<= 1
-	}
-	// table, keys and cnt all grow during pass 0 (table through grow(),
-	// keys/cnt through slotOf's appends), which reallocates their backing
-	// arrays — so they register in the release list only after the pass
-	// (track-after-production). slots has a fixed bound and tracks at
-	// acquisition.
-	g := groupHash{
-		table: getRowBuf(tabSize)[:tabSize],
-		keys:  getF64Buf(64),
-		cnt:   getF64Buf(64),
-	}
-	for i := range g.table {
-		g.table[i] = 0
-	}
-	slots := run.TrackRows(getRowBuf(n))[:n]
-	hashKeyCol(keyCol, rows, all, &g, slots)
-	run.TrackRows(g.table)
-	run.trackF64(g.keys)
-	run.trackF64(g.cnt)
-
-	groups := len(g.keys)
-	// 2× groups: a fused min/max pair accumulates its lo and hi banks in
-	// one gather pass over the shared value column.
-	bank := run.trackF64(getF64Buf(2 * groups))
-	var fusedDone uint64
-	for j, s := range specs {
-		if j < 64 && fusedDone&(1<<uint(j)) != 0 {
-			continue // emitted by an earlier partner's fused pass
-		}
-		if err := groupPassCheckpoint(run); err != nil {
-			run.recycleF64(bank)
-			run.recycleF64(g.keys)
-			run.recycleF64(g.cnt)
-			run.RecycleRows(g.table)
-			run.RecycleRows(slots)
-			return err
-		}
-		if s.Fn == AggCount {
-			res.Cols[j] = append(res.Cols[j], g.cnt...)
-			continue
-		}
-		if s.Fn == AggMin || s.Fn == AggMax {
-			if k := fusePartner(specs, j); k >= 0 {
-				lo := bank[:groups]
-				hi := bank[groups : 2*groups]
-				for i := range lo {
-					lo[i] = math.Inf(1)
-					hi[i] = math.Inf(-1)
-				}
-				hashAccumMinMaxCol(pc.Column(s.Column), rows, all, slots, lo, hi)
-				jMin, jMax := j, k
-				if s.Fn == AggMax {
-					jMin, jMax = k, j
-				}
-				res.Cols[jMin] = append(res.Cols[jMin], lo...)
-				res.Cols[jMax] = append(res.Cols[jMax], hi...)
-				fusedDone |= 1 << uint(k)
-				continue
-			}
-		}
-		b := bank[:groups]
-		switch s.Fn {
-		case AggMin:
-			for i := range b {
-				b[i] = math.Inf(1)
-			}
-		case AggMax:
-			for i := range b {
-				b[i] = math.Inf(-1)
-			}
-		default:
-			for i := range b {
-				b[i] = 0
-			}
-		}
-		hashAccumCol(pc.Column(s.Column), rows, all, slots, s.Fn, b)
-		if s.Fn == AggAvg {
-			for i := range b {
-				b[i] /= g.cnt[i]
-			}
-		}
-		res.Cols[j] = append(res.Cols[j], b...)
-	}
-	res.Keys = append(res.Keys, g.keys...)
-	run.recycleF64(bank)
-	run.recycleF64(g.keys)
-	run.recycleF64(g.cnt)
-	run.RecycleRows(g.table)
-	run.RecycleRows(slots)
-	sortGrouped(res)
-	return nil
-}
-
 // hashKeyCol dispatches pass 0 to the key column's concrete type.
-func hashKeyCol(col colstore.Column, rows []int, all bool, g *groupHash, slots []int) {
+func hashKeyCol(col colstore.Column, rows []int, all bool, start int, g *groupHash, slots []int) {
 	switch c := col.(type) {
 	case *colstore.F64Column:
-		hashKeys(c.Values(), rows, all, g, slots)
+		hashKeys(c.Values(), rows, all, start, g, slots)
 	case *colstore.I64Column:
-		hashKeys(c.Values(), rows, all, g, slots)
+		hashKeys(c.Values(), rows, all, start, g, slots)
 	case *colstore.I32Column:
-		hashKeys(c.Values(), rows, all, g, slots)
+		hashKeys(c.Values(), rows, all, start, g, slots)
 	case *colstore.U16Column:
-		hashKeys(c.Values(), rows, all, g, slots)
+		hashKeys(c.Values(), rows, all, start, g, slots)
 	case *colstore.U8Column:
-		hashKeys(c.Values(), rows, all, g, slots)
+		hashKeys(c.Values(), rows, all, start, g, slots)
 	default:
 		for i := range slots {
-			r := i
+			r := start + i
 			if !all {
-				r = rows[i]
+				r = rows[start+i]
 			}
 			s := g.slotOf(col.Value(r))
 			g.cnt[s]++
@@ -605,7 +415,12 @@ func hashKeyCol(col colstore.Column, rows []int, all bool, g *groupHash, slots [
 // hashKeys assigns slots for one key column: the float64 widening matches
 // Column.Value, so an i64 key groups exactly as the row-at-a-time path does
 // (lossy widening included).
-func hashKeys[K number](vals []K, rows []int, all bool, g *groupHash, slots []int) {
+func hashKeys[K number](vals []K, rows []int, all bool, start int, g *groupHash, slots []int) {
+	if all {
+		vals = vals[start:]
+	} else {
+		rows = rows[start:]
+	}
 	for i := range slots {
 		r := i
 		if !all {
@@ -640,23 +455,23 @@ func fusePartner(specs []GroupedAggSpec, j int) int {
 }
 
 // hashAccumCol dispatches one accumulate pass to the value column type.
-func hashAccumCol(col colstore.Column, rows []int, all bool, slots []int, fn AggFunc, bank []float64) {
+func hashAccumCol(col colstore.Column, rows []int, all bool, start int, slots []int, fn AggFunc, bank []float64) {
 	switch c := col.(type) {
 	case *colstore.F64Column:
-		hashAccum(c.Values(), rows, all, slots, fn, bank)
+		hashAccum(c.Values(), rows, all, start, slots, fn, bank)
 	case *colstore.I64Column:
-		hashAccum(c.Values(), rows, all, slots, fn, bank)
+		hashAccum(c.Values(), rows, all, start, slots, fn, bank)
 	case *colstore.I32Column:
-		hashAccum(c.Values(), rows, all, slots, fn, bank)
+		hashAccum(c.Values(), rows, all, start, slots, fn, bank)
 	case *colstore.U16Column:
-		hashAccum(c.Values(), rows, all, slots, fn, bank)
+		hashAccum(c.Values(), rows, all, start, slots, fn, bank)
 	case *colstore.U8Column:
-		hashAccum(c.Values(), rows, all, slots, fn, bank)
+		hashAccum(c.Values(), rows, all, start, slots, fn, bank)
 	default:
 		for i, s := range slots {
-			r := i
+			r := start + i
 			if !all {
-				r = rows[i]
+				r = rows[start+i]
 			}
 			accumOne(fn, bank, s, col.Value(r))
 		}
@@ -664,7 +479,12 @@ func hashAccumCol(col colstore.Column, rows []int, all bool, slots []int, fn Agg
 }
 
 // hashAccum is the slot-vector scatter-accumulate loop of the hash path.
-func hashAccum[V number](vals []V, rows []int, all bool, slots []int, fn AggFunc, bank []float64) {
+func hashAccum[V number](vals []V, rows []int, all bool, start int, slots []int, fn AggFunc, bank []float64) {
+	if all {
+		vals = vals[start:]
+	} else {
+		rows = rows[start:]
+	}
 	switch fn {
 	case AggMin:
 		for i, s := range slots {
@@ -701,23 +521,23 @@ func hashAccum[V number](vals []V, rows []int, all bool, slots []int, fn AggFunc
 
 // hashAccumMinMaxCol dispatches one fused min+max gather pass to the
 // value column type.
-func hashAccumMinMaxCol(col colstore.Column, rows []int, all bool, slots []int, lo, hi []float64) {
+func hashAccumMinMaxCol(col colstore.Column, rows []int, all bool, start int, slots []int, lo, hi []float64) {
 	switch c := col.(type) {
 	case *colstore.F64Column:
-		hashAccumMinMax(c.Values(), rows, all, slots, lo, hi)
+		hashAccumMinMax(c.Values(), rows, all, start, slots, lo, hi)
 	case *colstore.I64Column:
-		hashAccumMinMax(c.Values(), rows, all, slots, lo, hi)
+		hashAccumMinMax(c.Values(), rows, all, start, slots, lo, hi)
 	case *colstore.I32Column:
-		hashAccumMinMax(c.Values(), rows, all, slots, lo, hi)
+		hashAccumMinMax(c.Values(), rows, all, start, slots, lo, hi)
 	case *colstore.U16Column:
-		hashAccumMinMax(c.Values(), rows, all, slots, lo, hi)
+		hashAccumMinMax(c.Values(), rows, all, start, slots, lo, hi)
 	case *colstore.U8Column:
-		hashAccumMinMax(c.Values(), rows, all, slots, lo, hi)
+		hashAccumMinMax(c.Values(), rows, all, start, slots, lo, hi)
 	default:
 		for i, s := range slots {
-			r := i
+			r := start + i
 			if !all {
-				r = rows[i]
+				r = rows[start+i]
 			}
 			v := col.Value(r)
 			if v < lo[s] {
@@ -735,7 +555,12 @@ func hashAccumMinMaxCol(col colstore.Column, rows []int, all bool, slots []int, 
 // bit-identical to its own single-spec hashAccum pass — NaN loses both
 // compares, ±Inf seeds survive empty groups, and the fold order over rows
 // is unchanged.
-func hashAccumMinMax[V number](vals []V, rows []int, all bool, slots []int, lo, hi []float64) {
+func hashAccumMinMax[V number](vals []V, rows []int, all bool, start int, slots []int, lo, hi []float64) {
+	if all {
+		vals = vals[start:]
+	} else {
+		rows = rows[start:]
+	}
 	for i, s := range slots {
 		r := i
 		if !all {

@@ -183,7 +183,7 @@ func TestFilterRangeIndexedMatchesNaive(t *testing.T) {
 			lo := (rng.Float64() - 0.5) * 150000
 			hi := lo + rng.Float64()*80000
 			ex := &Explain{}
-			indexed, err := pc.FilterRangeIndexed(name, lo, hi, ex)
+			indexed, err := pc.FilterRangeIndexed(nil, name, lo, hi, ex)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,27 +202,30 @@ func TestFilterRangeIndexedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestFilterRangeParallelIdentical forces the parallel block path and
-// asserts bit-identical output with the serial arm.
+// TestFilterRangeParallelIdentical runs the indexed range filter at
+// degrees 1 through 4 and asserts bit-identical output with the naive
+// scan.
 func TestFilterRangeParallelIdentical(t *testing.T) {
 	pc := randomTestCloud(300_000, 7)
 	lo, hi := -20000.0, 20000.0
-	ex := &Explain{}
-	serial, err := pc.FilterRangeIndexed(ColScanAngle, lo, hi, ex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc.Parallel = true
-	par, err := pc.FilterRangeIndexed(ColScanAngle, lo, hi, ex)
-	pc.Parallel = false
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) == 0 {
+	want := naiveFilterAll(pc.Column(ColScanAngle), ColumnPred{Column: ColScanAngle, Op: CmpBetween, Value: lo, Value2: hi})
+	if len(want) == 0 {
 		t.Fatal("test range selected nothing; widen it")
 	}
-	if !equalRows(serial, par) {
-		t.Fatalf("parallel %d rows vs serial %d rows", len(par), len(serial))
+	for deg := 1; deg <= 4; deg++ {
+		run := new(Run)
+		run.SetMaxParallel(deg)
+		got, err := pc.FilterRangeIndexed(run, ColScanAngle, lo, hi, &Explain{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalRows(got, want) {
+			t.Fatalf("deg %d: %d rows vs naive %d rows", deg, len(got), len(want))
+		}
+		run.RecycleRows(got)
+		if run.Live() != 0 {
+			t.Fatalf("deg %d: run still owns %d buffers", deg, run.Live())
+		}
 	}
 }
 

@@ -131,9 +131,3 @@ func LoadCSV(pc *PointCloud, repo *lastools.Repository) (LoadStats, error) {
 	}
 	return st, nil
 }
-
-// LoadPoints appends decoded points directly (used by tests and generators
-// that bypass the file formats).
-func LoadPoints(pc *PointCloud, pts []las.Point) {
-	pc.AppendLAS(pts)
-}

@@ -1,44 +1,47 @@
-// Morsel-driven parallel execution (PR 8): the compiled filter kernels,
-// the fused min/max aggregate and the grouped-aggregate strategies fan
-// cache-sized partitions ("morsels") across the shared resident worker
-// set in internal/morsel — the pool promoted out of grid/parallel.go —
-// instead of running on a single core.
+// Morsel-driven execution (PR 8): the compiled filter kernels, the fused
+// aggregate and the grouped-aggregate strategies run as passes over
+// cache-sized partitions ("morsels") of the shared resident worker set in
+// internal/morsel. Each operator is one partition body over a span
+// [start, end) of its selection or column plus one driver, and the driver
+// runs every degree through morsel.Pass.Run — degree 1 included, where
+// slot 0 runs inline on the caller. Partition 0 writes straight into the
+// operator's destination (the caller's selection vector, the result bank,
+// the result record), so the serial operator is the degree-1 pass of the
+// same driver: no scratch, no copy, no merge.
 //
-// Determinism contract: parallel output is bit-identical to the serial
-// path. That is cheap for filters (partitions are disjoint ascending row
-// ranges; concatenating partials in ascending-partition order IS the
-// serial order) and provable for count/min/max (counts are exact integers
+// Determinism contract: output is bit-identical at every degree. That is
+// cheap for filters (partitions are disjoint ascending row ranges;
+// appending partitions 1..deg-1 to partition 0 in ascending order IS the
+// row order) and provable for count/min/max (counts are exact integers
 // in float64; min/max use strict compares seeded at ±Inf, so folding
 // per-partition results in ascending-partition order reproduces the
-// serial ascending fold bit-for-bit — equal-valued ties keep their
-// earliest winner and NaN never wins). It is NOT true for sum/avg: float
-// addition is not associative, and the aggregate-semantics invariant pins
-// sums bit-identical to the ascending row-at-a-time loop — so sum/avg
-// always run serial, and grouped plans containing them take the serial
-// strategy (specsMergeExact).
+// ascending fold bit-for-bit — equal-valued ties keep their earliest
+// winner and NaN never wins). It is NOT true for sum/avg: float addition
+// is not associative, and the aggregate-semantics invariant pins sums
+// bit-identical to the ascending row-at-a-time loop — so sum/avg always
+// run at degree 1 (specsMergeExact).
 //
-// Degree selection: SetMaxParallel on the run caps the fan-out (the SQL
-// layer sets it per run; 0 defers to PointCloud.Parallel); morselDegree
-// then clamps by the driving row count so each partition carries at least
-// morselMinRows rows — small selections stay serial, where fan-out costs
-// more than it saves.
+// Degree selection: morselDegree is the only rule — the run's cap
+// (SetMaxParallel; the SQL layer sets it per run), clamped so every
+// partition carries at least morselMinRows rows. A cap of 0 or 1 is
+// serial, and small selections stay serial whatever the cap.
 //
 // Lifecycle contract (PR 6): per-worker scratch is pooled and registered
 // on a per-worker release path — each RunPartition drains exactly the
 // buffers it acquired before letting a panic escape, the pass machinery
 // parks per-slot panics until every partition settles, and the driver
 // recycles all surviving partials before re-raising the first panic for
-// the query layer's recovery. Workers poll the run's cancel token at
+// the query layer's recovery. Partitions poll the run's cancel token at
 // block boundaries (scanChunk blocks in the fold loops, one accumulate
-// pass in the grouped strategies); a fired token surfaces from the driver
-// with every buffer back in its pool. The engine.morsel.worker and
-// engine.morsel.merge faultpoints prove both paths under -tags
-// faultinject.
+// pass in the grouped strategies) and park a checkpoint error per slot; a
+// fired token surfaces from the driver with every buffer back in its
+// pool. The engine.morsel.worker and engine.morsel.merge faultpoints
+// prove both paths under -tags faultinject; a degree-1 pass has no worker
+// partitions and no merge, so it hits neither.
 package engine
 
 import (
 	"math"
-	"sync"
 
 	"gisnav/internal/cancel"
 	"gisnav/internal/colstore"
@@ -48,92 +51,100 @@ import (
 )
 
 // morselMinRows is the minimum row count per partition: below two
-// partitions' worth the serial path wins (this reproduces the old 1<<17
-// parallel crossover of the indexed range filter at degree 2).
+// partitions' worth the operator runs at degree 1 (this reproduces the
+// old 1<<17 parallel crossover of the indexed range filter and of region
+// refinement at degree 2).
 const morselMinRows = 1 << 16
 
 // morselDegree picks the fan-out degree for an operator driving rows
-// rows: the run's explicit cap (SetMaxParallel), else the resident worker
-// count when the table opted into auto-parallel execution, clamped so
-// every partition carries at least morselMinRows rows. 1 means serial.
-func (pc *PointCloud) morselDegree(run *Run, rows int) int {
-	limit := run.MaxParallel()
-	if limit == 0 {
-		if !pc.Parallel {
-			return 1
+// rows: the run's cap (SetMaxParallel), clamped so every partition
+// carries at least morselMinRows rows. A nil run, a cap of 0 or 1, or a
+// small input yields 1: the serial pass.
+func morselDegree(run *Run, rows int) int {
+	return max(1, min(run.MaxParallel(), rows/morselMinRows))
+}
+
+// span is partition slot's share [start, end) of n rows in deg
+// partitions.
+func span(slot, deg, n int) (start, end int) {
+	return slot * n / deg, (slot + 1) * n / deg
+}
+
+// workerPoint is the engine.morsel.worker fault point, hit at the top of
+// every partition of a fanned-out pass.
+func workerPoint(deg int) {
+	if deg > 1 {
+		if err := faultpoint.Hit("engine.morsel.worker"); err != nil {
+			panic(err)
 		}
-		limit = morsel.Workers()
-	}
-	if limit <= 1 {
-		return 1
-	}
-	d := rows / morselMinRows
-	if d < 2 {
-		return 1
-	}
-	if d > limit {
-		d = limit
-	}
-	return d
-}
-
-// passFree is the mutex-backed free list behind the pooled operator pass
-// scratch. A sync.Pool would be idiomatic, but the race detector drops
-// sync.Pool puts, which would fail the AllocsPerRun == 0 steady-state
-// tests under the -race CI job (the SQL layer's runStatePool documents
-// the same trade-off).
-type passFree[T any] struct {
-	mu   sync.Mutex
-	free []*T
-}
-
-func (p *passFree[T]) get() *T {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.free); n > 0 {
-		t := p.free[n-1]
-		p.free = p.free[:n-1]
-		return t
-	}
-	return new(T)
-}
-
-func (p *passFree[T]) put(t *T) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.free) < 16 {
-		p.free = append(p.free, t)
 	}
 }
 
-// --- parallel block filter ------------------------------------------------------
+// mergePoint is the engine.morsel.merge fault point, hit before the
+// ascending merge of partitions 1..deg-1 into partition 0.
+func mergePoint(deg int) error {
+	if deg > 1 {
+		return faultpoint.Hit("engine.morsel.merge")
+	}
+	return nil
+}
 
-// filterPass is the pooled fan-out scaffolding of one parallel
-// block-filter pass: the partition storage, the compiled kernel with its
-// bound constant record, and the per-partition result slots.
+// slotErrs parks each partition's checkpoint error for the driver.
+type slotErrs []error
+
+// reset sizes the slots for deg partitions and clears them.
+func (e slotErrs) reset(deg int) slotErrs {
+	if cap(e) < deg {
+		return make(slotErrs, deg)
+	}
+	e = e[:deg]
+	clear(e)
+	return e
+}
+
+// first returns the lowest partition's error, or nil.
+func (e slotErrs) first() error {
+	for _, err := range e {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// --- block filter ---------------------------------------------------------------
+
+// filterPass is the pooled scaffolding of one block-filter pass: the
+// partition storage, the compiled kernel with its bound constant record,
+// partition 0's destination and the result slots of partitions 1..n-1.
 type filterPass struct {
 	pass    morsel.Pass
 	partBuf []colstore.Range
 	cuts    []int
 	parts   [][]colstore.Range
+	out     []int
 	results [][]int
 	k       *Kernel
 	a       KernelArgs
 	full    [1]colstore.Range // candidate storage for the full-column drive
 }
 
-var filterPasses passFree[filterPass]
+var filterPasses morsel.Free[filterPass]
 
-// RunPartition drives the block kernel over one partition's ranges into a
-// pooled per-worker selection vector — this slot's release entry. On a
-// panic the buffer goes straight back to its pool and the result slot is
-// cleared before the panic re-raises into the morsel recovery.
-// Cancellation is polled inside FilterBlock per scanChunk block (the
-// token rides in the bound args), so a fired token leaves a partial
-// vector the driver discards.
+// RunPartition drives the block kernel over one partition's ranges.
+// Partition 0 appends straight into the caller's vector; every other
+// partition appends into a pooled per-worker vector — this slot's release
+// entry, which goes straight back to its pool on a panic before the panic
+// re-raises into the morsel recovery. Cancellation is polled inside
+// FilterBlock per scanChunk block (the token rides in the bound args), so
+// a fired token leaves a partial vector the caller discards.
 func (fp *filterPass) RunPartition(slot int) {
-	part := fp.parts[slot]
-	buf := getRowBuf(colstore.RangesLen(part))
+	if slot == 0 {
+		workerPoint(len(fp.parts))
+		fp.out = fp.filter(fp.parts[0], fp.out)
+		return
+	}
+	buf := getRowBuf(colstore.RangesLen(fp.parts[slot]))
 	defer func() {
 		if p := recover(); p != nil {
 			fp.results[slot] = nil
@@ -141,16 +152,18 @@ func (fp *filterPass) RunPartition(slot int) {
 			panic(p)
 		}
 	}()
-	if err := faultpoint.Hit("engine.morsel.worker"); err != nil {
-		panic(err)
-	}
-	for _, r := range part {
-		buf = fp.k.FilterBlock(fp.a, r.Start, r.End, buf)
-	}
-	fp.results[slot] = buf
+	workerPoint(len(fp.parts))
+	fp.results[slot] = fp.filter(fp.parts[slot], buf)
 }
 
-// drain recycles every surviving per-partition result.
+func (fp *filterPass) filter(part []colstore.Range, out []int) []int {
+	for _, r := range part {
+		out = fp.k.FilterBlock(fp.a, r.Start, r.End, out)
+	}
+	return out
+}
+
+// drain recycles every surviving partition result.
 func (fp *filterPass) drain() {
 	for i := range fp.results {
 		if fp.results[i] != nil {
@@ -160,35 +173,39 @@ func (fp *filterPass) drain() {
 	}
 }
 
-func (fp *filterPass) release() {
+// done clears the pass inputs and returns the scaffolding to its pool.
+func (fp *filterPass) done() {
 	fp.k = nil
 	fp.a = KernelArgs{}
+	fp.out = nil
+	clear(fp.parts) // partition 0 may alias the caller's candidates
+	filterPasses.Put(fp)
 }
 
-// filterFullMorsel fans the block kernel over the whole column [0, n) in
-// deg partitions — the first-predicate fast path, which needs no
-// candidate ranges.
-func filterFullMorsel(k *Kernel, a KernelArgs, n, deg int, out []int) ([]int, error) {
-	fp := filterPasses.get()
+// filterFull drives the block kernel over the whole column [0, n) in deg
+// partitions — the first-predicate fast path, which needs no candidate
+// ranges.
+func filterFull(k *Kernel, a KernelArgs, n, deg int, out []int) ([]int, error) {
+	fp := filterPasses.Get()
 	fp.full[0] = colstore.Range{End: n}
-	return runFilterPass(fp, k, a, fp.full[:1], deg, out)
+	return fp.run(k, a, fp.full[:1], deg, out)
 }
 
-// filterBlocksMorsel fans the block kernel over the candidate ranges in
-// deg partitions, appending matches to out.
-func filterBlocksMorsel(k *Kernel, a KernelArgs, cand []colstore.Range, deg int, out []int) ([]int, error) {
-	return runFilterPass(filterPasses.get(), k, a, cand, deg, out)
+// filterBlocks drives the block kernel over the candidate ranges in deg
+// partitions, appending matches to out.
+func filterBlocks(k *Kernel, a KernelArgs, cand []colstore.Range, deg int, out []int) ([]int, error) {
+	return filterPasses.Get().run(k, a, cand, deg, out)
 }
 
-// runFilterPass splits cand (via the shared grid partitioner), fans the
-// partitions across the resident worker set and concatenates the partial
-// vectors in ascending-partition order — partitions are disjoint
-// ascending row ranges, so the result is bit-identical to the serial
-// block drive. A partition panic re-raises here after all partitions
-// settle, with every surviving partial already recycled; the merge
-// faultpoint's error path proves the same accounting without a panic.
-func runFilterPass(fp *filterPass, k *Kernel, a KernelArgs, cand []colstore.Range, deg int, out []int) ([]int, error) {
-	fp.k, fp.a = k, a
+// run splits cand (via the shared grid partitioner), runs the partitions
+// and appends partitions 1..n-1 to partition 0's output in ascending
+// order — partitions are disjoint ascending row ranges, so the result is
+// the row-order block drive. A partition panic re-raises here after all
+// partitions settle, with every surviving partial already recycled; the
+// merge faultpoint's error path proves the same accounting without a
+// panic. out is returned on every non-panic exit: the caller owns it.
+func (fp *filterPass) run(k *Kernel, a KernelArgs, cand []colstore.Range, deg int, out []int) ([]int, error) {
+	fp.k, fp.a, fp.out = k, a, out
 	fp.partBuf, fp.cuts, fp.parts = grid.SplitRangesInto(cand, deg, fp.partBuf, fp.cuts, fp.parts)
 	n := len(fp.parts)
 	if cap(fp.results) < n {
@@ -197,108 +214,73 @@ func runFilterPass(fp *filterPass, k *Kernel, a KernelArgs, cand []colstore.Rang
 	fp.results = fp.results[:n]
 	if p := fp.pass.Run(n, fp); p != nil {
 		fp.drain()
-		fp.release()
-		filterPasses.put(fp)
+		fp.done()
 		panic(p)
 	}
-	if err := faultpoint.Hit("engine.morsel.merge"); err != nil {
+	out = fp.out
+	if err := mergePoint(n); err != nil {
 		fp.drain()
-		fp.release()
-		filterPasses.put(fp)
+		fp.done()
 		return out, err
 	}
-	for i := range fp.results {
-		if fp.results[i] != nil {
-			out = append(out, fp.results[i]...)
-			rowPool.Put(fp.results[i])
-			fp.results[i] = nil
-		}
+	for i := 1; i < n; i++ {
+		out = append(out, fp.results[i]...)
+		rowPool.Put(fp.results[i])
+		fp.results[i] = nil
 	}
-	fp.release()
-	filterPasses.put(fp)
+	fp.done()
 	return out, nil
 }
 
-// --- parallel fused min/max aggregate -------------------------------------------
+// --- fused sum/min/max aggregate ------------------------------------------------
 
-// aggPass is the pooled fan-out scaffolding of one parallel min/max
-// aggregate: partition bounds are computed from (n, deg) per slot, and
-// the per-slot partial folds land in preallocated banks — workers own no
-// pooled buffers, so a partition panic has nothing to drain.
+// aggPass is the pooled scaffolding of one fused aggregate: partition
+// bounds are computed from (n, deg) per slot, and the per-slot folds land
+// in preallocated banks — partitions own no pooled buffers, so a panic
+// has nothing to drain.
 type aggPass struct {
-	pass     morsel.Pass
-	col      colstore.Column
-	rows     []int
-	all      bool
-	n, deg   int
-	los, his []float64
-	tok      *cancel.Token
+	pass           morsel.Pass
+	col            colstore.Column
+	rows           []int
+	all            bool
+	n, deg         int
+	sums, los, his []float64
+	tok            *cancel.Token
 }
 
-var aggPasses passFree[aggPass]
+var aggPasses morsel.Free[aggPass]
 
-// RunPartition folds one partition's min/max in scanChunk blocks,
-// polling the run's token at every block boundary. Strict folds in
-// ascending block order reproduce the serial ascending fold bit-for-bit.
+// RunPartition folds one partition's sum, min and max.
 func (ap *aggPass) RunPartition(slot int) {
-	if err := faultpoint.Hit("engine.morsel.worker"); err != nil {
-		panic(err)
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	start := slot * ap.n / ap.deg
-	end := (slot + 1) * ap.n / ap.deg
-	for b := start; b < end; b += scanChunk {
-		if ap.tok.Cancelled() {
-			break
-		}
-		be := min(b+scanChunk, end)
-		var blo, bhi float64
-		if ap.all {
-			_, blo, bhi = aggColumnSpan(ap.col, b, be)
-		} else {
-			_, blo, bhi = aggColumn(ap.col, ap.rows[b:be], false)
-		}
-		if blo < lo {
-			lo = blo
-		}
-		if bhi > hi {
-			hi = bhi
-		}
-	}
-	ap.los[slot], ap.his[slot] = lo, hi
+	workerPoint(ap.deg)
+	start, end := span(slot, ap.deg, ap.n)
+	ap.sums[slot], ap.los[slot], ap.his[slot] = aggColumn(ap.col, ap.rows, ap.all, start, end, ap.tok)
 }
 
-func (ap *aggPass) release() {
-	ap.col = nil
-	ap.rows = nil
-	ap.tok = nil
-}
-
-// aggMorsel computes the fused min/max over the selection in deg
-// partitions and folds the partials in ascending-partition order —
-// bit-identical to the serial fold (see the package comment).
-func aggMorsel(run *Run, col colstore.Column, rows []int, all bool, n, deg int) (lo, hi float64, err error) {
-	ap := aggPasses.get()
+// aggregate computes the fused sum/min/max over the selection (n rows;
+// all = every row of the column) in deg partitions and folds the min/max
+// partials in ascending-partition order — bit-identical to the ascending
+// fold. The sum is only meaningful at degree 1, where it is partition 0's
+// ascending row-order sum.
+func aggregate(run *Run, col colstore.Column, rows []int, all bool, n, deg int) (sum, lo, hi float64, err error) {
+	ap := aggPasses.Get()
 	ap.col, ap.rows, ap.all = col, rows, all
 	ap.n, ap.deg = n, deg
 	ap.tok = run.Token()
 	if cap(ap.los) < deg {
+		ap.sums = make([]float64, deg)
 		ap.los = make([]float64, deg)
 		ap.his = make([]float64, deg)
 	}
-	ap.los, ap.his = ap.los[:deg], ap.his[:deg]
-	if p := ap.pass.Run(deg, ap); p != nil {
-		ap.release()
-		aggPasses.put(ap)
+	ap.sums, ap.los, ap.his = ap.sums[:deg], ap.los[:deg], ap.his[:deg]
+	p := ap.pass.Run(deg, ap)
+	ap.col, ap.rows, ap.tok = nil, nil, nil
+	if p != nil {
+		aggPasses.Put(ap)
 		panic(p)
 	}
-	if ferr := faultpoint.Hit("engine.morsel.merge"); ferr != nil {
-		ap.release()
-		aggPasses.put(ap)
-		return 0, 0, ferr
-	}
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for s := 0; s < deg; s++ {
+	sum, lo, hi = ap.sums[0], ap.los[0], ap.his[0]
+	for s := 1; s < deg; s++ {
 		if ap.los[s] < lo {
 			lo = ap.los[s]
 		}
@@ -306,49 +288,24 @@ func aggMorsel(run *Run, col colstore.Column, rows []int, all bool, n, deg int) 
 			hi = ap.his[s]
 		}
 	}
-	ap.release()
-	aggPasses.put(ap)
-	return lo, hi, nil
-}
-
-// aggColumnSpan is aggColumn over the index span [lo, hi) of the full
-// column — the all-rows partition arm.
-func aggColumnSpan(col colstore.Column, lo, hi int) (sum, l, h float64) {
-	switch t := col.(type) {
-	case *colstore.F64Column:
-		return aggVals(t.Values()[lo:hi], nil, true)
-	case *colstore.I64Column:
-		return aggVals(t.Values()[lo:hi], nil, true)
-	case *colstore.I32Column:
-		return aggVals(t.Values()[lo:hi], nil, true)
-	case *colstore.U16Column:
-		return aggVals(t.Values()[lo:hi], nil, true)
-	case *colstore.U8Column:
-		return aggVals(t.Values()[lo:hi], nil, true)
-	default:
-		l, h = math.Inf(1), math.Inf(-1)
-		for i := lo; i < hi; i++ {
-			v := col.Value(i)
-			sum += v
-			if v < l {
-				l = v
-			}
-			if v > h {
-				h = v
-			}
-		}
-		return sum, l, h
+	aggPasses.Put(ap)
+	if err := mergePoint(deg); err != nil {
+		return 0, 0, 0, err
 	}
+	if run.Cancelled() {
+		return 0, 0, 0, cancel.ErrCancelled
+	}
+	return sum, lo, hi, nil
 }
 
-// --- parallel grouped aggregation -----------------------------------------------
+// --- grouped aggregation --------------------------------------------------------
 
 // specsMergeExact reports whether every requested aggregate merges
 // exactly across partitions: count (exact integer arithmetic in float64)
 // and min/max (strict folds, order-associative). Sum and avg are
 // excluded — float addition is not associative, and the aggregate
 // semantics contract pins sums bit-identical to the ascending
-// row-at-a-time fold — so plans containing them run the serial strategy.
+// row-at-a-time fold — so plans containing them run at degree 1.
 func specsMergeExact(specs []GroupedAggSpec) bool {
 	for _, s := range specs {
 		switch s.Fn {
@@ -360,11 +317,11 @@ func specsMergeExact(specs []GroupedAggSpec) bool {
 	return true
 }
 
-// densePass is the pooled fan-out scaffolding of one parallel dense
-// grouped pass. Per-worker accumulator banks are disjoint slabs of one
-// run-tracked buffer (banks), so workers own no pooled buffers and a
-// partition panic has nothing to drain — the driver recycles the slab.
-// Exactly one of keys8/keys16 is set.
+// densePass is the pooled scaffolding of one dense grouped pass. Each
+// partition's accumulator banks are one slab of a run-tracked buffer —
+// slab 0 is the result bank — so partitions own no pooled buffers and a
+// panic has nothing to drain; the driver recycles the buffer. Exactly one
+// of keys8/keys16 is set.
 type densePass struct {
 	pass        morsel.Pass
 	keys8       []uint8
@@ -376,122 +333,82 @@ type densePass struct {
 	dom, stride int
 	specs       []GroupedAggSpec
 	banks       []float64
+	errs        slotErrs
 	tok         *cancel.Token
 }
 
-var densePasses passFree[densePass]
+var densePasses morsel.Free[densePass]
 
 func (dp *densePass) RunPartition(slot int) {
+	workerPoint(dp.deg)
 	if dp.keys8 != nil {
-		densePartition(dp, dp.keys8, slot)
+		dp.errs[slot] = densePartition(dp, dp.keys8, slot)
 		return
 	}
-	densePartition(dp, dp.keys16, slot)
+	dp.errs[slot] = densePartition(dp, dp.keys16, slot)
 }
 
-func (dp *densePass) release() {
-	dp.keys8, dp.keys16 = nil, nil
-	dp.pc, dp.rows = nil, nil
-	dp.specs, dp.banks = nil, nil
-	dp.tok = nil
-}
-
-// densePartition runs the dense count + accumulate passes over one
-// partition into this slot's bank slab. One accumulate pass is this
-// layer's block (as in groupPassCheckpoint), so the token is polled
-// between passes.
-func densePartition[K denseKey](dp *densePass, keys []K, slot int) {
-	if err := faultpoint.Hit("engine.morsel.worker"); err != nil {
-		panic(err)
-	}
+// densePartition runs the dense count pass and one accumulate pass per
+// spec over one partition into its bank slab, with a pass checkpoint
+// before each: one accumulate pass is this layer's block.
+func densePartition[K denseKey](dp *densePass, keys []K, slot int) error {
+	dom := dp.dom
 	bank := dp.banks[slot*dp.stride : (slot+1)*dp.stride]
-	cnt := bank[:dp.dom]
-	for i := range cnt {
-		cnt[i] = 0
+	start, end := span(slot, dp.deg, dp.n)
+	if err := groupPassCheckpoint(dp.tok); err != nil {
+		return err
 	}
-	start := slot * dp.n / dp.deg
-	end := (slot + 1) * dp.n / dp.deg
-	if dp.all {
-		denseCount(keys[start:end], nil, true, cnt)
-	} else {
-		denseCount(keys, dp.rows[start:end], false, cnt)
-	}
+	cnt := bank[:dom]
+	clear(cnt)
+	denseCount(keys, dp.rows, dp.all, start, end, cnt)
 	for j, s := range dp.specs {
-		if dp.tok.Cancelled() {
-			return
+		if err := groupPassCheckpoint(dp.tok); err != nil {
+			return err
 		}
-		b := bank[(1+j)*dp.dom : (2+j)*dp.dom]
-		switch s.Fn {
-		case AggCount:
-			// Served from the shared count bank at emit time.
-		case AggMin:
-			for i := range b {
-				b[i] = math.Inf(1)
-			}
-			denseAccumPart(keys, dp.pc.Column(s.Column), dp.rows, dp.all, start, end, AggMin, b)
-		case AggMax:
-			for i := range b {
-				b[i] = math.Inf(-1)
-			}
-			denseAccumPart(keys, dp.pc.Column(s.Column), dp.rows, dp.all, start, end, AggMax, b)
+		if s.Fn == AggCount {
+			continue // served from the shared count bank at emit time
 		}
+		b := bank[(1+j)*dom : (2+j)*dom]
+		seedBank(b, s.Fn)
+		denseAccumCol(keys, dp.pc.Column(s.Column), dp.rows, dp.all, start, end, s.Fn, b)
 	}
+	return nil
 }
 
-// denseAccumPart is denseAccumCol restricted to the partition span
-// [start, end) of the selection (or of the full column when all).
-func denseAccumPart[K denseKey](keys []K, col colstore.Column, rows []int, all bool, start, end int, fn AggFunc, bank []float64) {
-	if !all {
-		denseAccumCol(keys, col, rows[start:end], false, fn, bank)
-		return
-	}
-	switch c := col.(type) {
-	case *colstore.F64Column:
-		denseAccum(keys[start:end], c.Values()[start:end], nil, true, fn, bank)
-	case *colstore.I64Column:
-		denseAccum(keys[start:end], c.Values()[start:end], nil, true, fn, bank)
-	case *colstore.I32Column:
-		denseAccum(keys[start:end], c.Values()[start:end], nil, true, fn, bank)
-	case *colstore.U16Column:
-		denseAccum(keys[start:end], c.Values()[start:end], nil, true, fn, bank)
-	case *colstore.U8Column:
-		denseAccum(keys[start:end], c.Values()[start:end], nil, true, fn, bank)
-	default:
-		for i := start; i < end; i++ {
-			accumOne(fn, bank, int(keys[i]), col.Value(i))
-		}
-	}
-}
-
-// denseGroupedMorsel is the parallel dense strategy: per-worker bank
-// slabs over one run-tracked buffer, merged in ascending-partition order
-// (counts sum exactly; min/max fold strictly), then the serial ascending
-// domain emit. Output is bit-identical to denseGrouped. Exactly one of
-// keys8/keys16 is non-nil; every spec is count/min/max (specsMergeExact).
-func denseGroupedMorsel(run *Run, pc *PointCloud, keys8 []uint8, keys16 []uint16, dom int, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult, deg int) error {
+// denseGroupPass is the array-indexed strategy: one bank of dom slots per
+// aggregate plus the shared count bank per partition, merged into
+// partition 0's slab in ascending-partition order (counts sum exactly;
+// min/max fold strictly), then an ascending domain scan emits the
+// non-empty groups — already in FloatOrderKey order. Exactly one of
+// keys8/keys16 is non-nil; deg > 1 only when every spec is count/min/max
+// (specsMergeExact).
+func denseGroupPass(run *Run, pc *PointCloud, keys8 []uint8, keys16 []uint16, dom int, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult, deg int) error {
 	stride := dom * (1 + len(specs))
 	banks := run.trackF64(getF64Buf(deg * stride))[:deg*stride]
-	dp := densePasses.get()
+	dp := densePasses.Get()
 	dp.keys8, dp.keys16 = keys8, keys16
 	dp.pc, dp.rows, dp.all = pc, rows, all
 	dp.n, dp.deg, dp.dom, dp.stride = n, deg, dom, stride
 	dp.specs, dp.banks = specs, banks
+	dp.errs = dp.errs.reset(deg)
 	dp.tok = run.Token()
-	if p := dp.pass.Run(deg, dp); p != nil {
-		dp.release()
-		densePasses.put(dp)
+	p := dp.pass.Run(deg, dp)
+	err := dp.errs.first()
+	dp.keys8, dp.keys16 = nil, nil
+	dp.pc, dp.rows = nil, nil
+	dp.specs, dp.banks = nil, nil
+	dp.tok = nil
+	densePasses.Put(dp)
+	if p != nil {
 		run.recycleF64(banks)
 		panic(p)
 	}
-	dp.release()
-	densePasses.put(dp)
-	if err := faultpoint.Hit("engine.morsel.merge"); err != nil {
+	if err == nil {
+		err = mergePoint(deg)
+	}
+	if err != nil {
 		run.recycleF64(banks)
 		return err
-	}
-	if run.Cancelled() {
-		run.recycleF64(banks)
-		return cancel.ErrCancelled
 	}
 	base := banks[:stride]
 	for w := 1; w < deg; w++ {
@@ -527,8 +444,11 @@ func denseGroupedMorsel(run *Run, pc *PointCloud, keys8 []uint8, keys16 []uint16
 		res.Keys = append(res.Keys, float64(k))
 		for j, s := range specs {
 			v := base[(1+j)*dom+k]
-			if s.Fn == AggCount {
+			switch s.Fn {
+			case AggCount:
 				v = c
+			case AggAvg:
+				v /= c
 			}
 			res.Cols[j] = append(res.Cols[j], v)
 		}
@@ -537,11 +457,11 @@ func denseGroupedMorsel(run *Run, pc *PointCloud, keys8 []uint8, keys16 []uint16
 	return nil
 }
 
-// hashPass is the pooled fan-out scaffolding of one parallel hash
-// grouped pass. Each worker builds a local group table, slot vector and
-// accumulator bank over its partition — the per-worker release list: the
-// slot's deferred recover drains exactly what the partition acquired
-// before a panic re-raises, and the driver drains every surviving slot.
+// hashPass is the pooled scaffolding of one hash grouped pass. Each
+// partition builds a local group table, slot vector and accumulator bank
+// over its span — the per-worker release list: the slot's deferred
+// recover drains exactly what the partition acquired before a panic
+// re-raises, and the driver drains every surviving slot.
 type hashPass struct {
 	pass   morsel.Pass
 	keyCol colstore.Column
@@ -550,25 +470,22 @@ type hashPass struct {
 	rows   []int
 	all    bool
 	n, deg int
-	nacc   int // min/max specs; count folds from the local group counts
+	nacc   int // non-count specs, each owning one bank segment
 	gs     []groupHash
 	slotsv [][]int
 	banks  [][]float64
+	errs   slotErrs
 	tok    *cancel.Token
 }
 
-var hashPasses passFree[hashPass]
+var hashPasses morsel.Free[hashPass]
 
 // RunPartition builds this partition's local groups: pass 0 assigns local
-// slots while counting, then one accumulate pass per min/max spec (the
-// block boundary, polled like groupPassCheckpoint). Results park in the
-// per-slot fields for the ascending merge.
+// slots (in first-appearance order) while counting, then one accumulate
+// pass per non-count spec, a fused min/max pair sharing one gather pass.
+// Results park in the per-slot fields for the driver.
 func (hp *hashPass) RunPartition(slot int) {
-	if err := faultpoint.Hit("engine.morsel.worker"); err != nil {
-		panic(err)
-	}
-	start := slot * hp.n / hp.deg
-	end := (slot + 1) * hp.n / hp.deg
+	start, end := span(slot, hp.deg, hp.n)
 	pn := end - start
 	tabSize := 1 << 10
 	for tabSize < 4*pn && tabSize < 1<<20 {
@@ -579,16 +496,14 @@ func (hp *hashPass) RunPartition(slot int) {
 		keys:  getF64Buf(64),
 		cnt:   getF64Buf(64),
 	}
-	var slots []int
+	slots := getRowBuf(pn)[:pn]
 	var bank []float64
 	defer func() {
 		if p := recover(); p != nil {
 			rowPool.Put(g.table)
 			f64Pool.Put(g.keys)
 			f64Pool.Put(g.cnt)
-			if slots != nil {
-				rowPool.Put(slots)
-			}
+			rowPool.Put(slots)
 			if bank != nil {
 				f64Pool.Put(bank)
 			}
@@ -598,70 +513,68 @@ func (hp *hashPass) RunPartition(slot int) {
 			panic(p)
 		}
 	}()
-	for i := range g.table {
-		g.table[i] = 0
-	}
-	slots = getRowBuf(pn)[:pn]
-	hashKeysPart(hp.keyCol, hp.rows, hp.all, start, end, &g, slots)
-	if hp.nacc > 0 {
+	workerPoint(hp.deg)
+	clear(g.table)
+	err := groupPassCheckpoint(hp.tok)
+	if err == nil {
+		hashKeyCol(hp.keyCol, hp.rows, hp.all, start, &g, slots)
 		groups := len(g.keys)
 		bank = getF64Buf(hp.nacc * groups)[:hp.nacc*groups]
-		ai := 0
-		var fusedDone uint64
-		for j, s := range hp.specs {
-			if s.Fn != AggMin && s.Fn != AggMax {
-				continue
-			}
-			if j < 64 && fusedDone&(1<<uint(j)) != 0 {
-				ai++ // segment filled by an earlier partner's fused pass
-				continue
-			}
-			if hp.tok.Cancelled() {
-				break
-			}
-			b := bank[ai*groups : (ai+1)*groups]
-			if k := fusePartner(hp.specs, j); k >= 0 {
-				// The partner's bank segment sits at its own min/max
-				// ordinal; the layout is unchanged, so the driver's
-				// ascending merge needs no fusion awareness.
-				pai := ai + 1
-				for m := j + 1; m < k; m++ {
-					if hp.specs[m].Fn == AggMin || hp.specs[m].Fn == AggMax {
-						pai++
-					}
-				}
-				pb := bank[pai*groups : (pai+1)*groups]
-				lo, hi := b, pb
-				if s.Fn == AggMax {
-					lo, hi = pb, b
-				}
-				for i := range lo {
-					lo[i] = math.Inf(1)
-					hi[i] = math.Inf(-1)
-				}
-				hashAccumMinMaxPart(hp.pc.Column(s.Column), hp.rows, hp.all, start, end, slots, lo, hi)
-				fusedDone |= 1 << uint(k)
-				ai++
-				continue
-			}
-			seed := math.Inf(1)
-			if s.Fn == AggMax {
-				seed = math.Inf(-1)
-			}
-			for i := range b {
-				b[i] = seed
-			}
-			hashAccumPart(hp.pc.Column(s.Column), hp.rows, hp.all, start, end, slots, s.Fn, b)
-			ai++
-		}
+		err = hp.accumulate(start, slots, groups, bank)
 	}
+	hp.errs[slot] = err
 	hp.gs[slot] = g
 	hp.slotsv[slot] = slots
 	hp.banks[slot] = bank
 }
 
-// drain recycles every surviving per-worker buffer (slots that panicked
-// already drained their own and cleared their fields).
+// accumulate fills the partition's bank: segment ai (the ai-th non-count
+// spec) over groups slots, a fused min/max pair filling both segments in
+// one gather pass.
+func (hp *hashPass) accumulate(start int, slots []int, groups int, bank []float64) error {
+	ai := 0
+	var fusedDone uint64
+	for j, s := range hp.specs {
+		if s.Fn == AggCount {
+			continue
+		}
+		if j < 64 && fusedDone&(1<<uint(j)) != 0 {
+			ai++ // segment filled by an earlier partner's fused pass
+			continue
+		}
+		if err := groupPassCheckpoint(hp.tok); err != nil {
+			return err
+		}
+		b := bank[ai*groups : (ai+1)*groups]
+		col := hp.pc.Column(s.Column)
+		if k := fusePartner(hp.specs, j); k >= 0 && (s.Fn == AggMin || s.Fn == AggMax) {
+			// The partner's segment sits at its own non-count ordinal.
+			pai := ai + 1
+			for m := j + 1; m < k; m++ {
+				if hp.specs[m].Fn != AggCount {
+					pai++
+				}
+			}
+			lo, hi := b, bank[pai*groups:(pai+1)*groups]
+			if s.Fn == AggMax {
+				lo, hi = hi, lo
+			}
+			seedBank(lo, AggMin)
+			seedBank(hi, AggMax)
+			hashAccumMinMaxCol(col, hp.rows, hp.all, start, slots, lo, hi)
+			fusedDone |= 1 << uint(k)
+			ai++
+			continue
+		}
+		seedBank(b, s.Fn)
+		hashAccumCol(col, hp.rows, hp.all, start, slots, s.Fn, b)
+		ai++
+	}
+	return nil
+}
+
+// drain recycles every surviving per-partition buffer (slots that
+// panicked already drained their own and cleared their fields).
 func (hp *hashPass) drain() {
 	for w := range hp.gs {
 		if hp.gs[w].table != nil {
@@ -681,113 +594,34 @@ func (hp *hashPass) drain() {
 	}
 }
 
-func (hp *hashPass) release() {
+// done drains the partition buffers, clears the pass inputs and returns
+// the scaffolding to its pool.
+func (hp *hashPass) done() {
+	hp.drain()
 	hp.keyCol = nil
 	hp.specs = nil
 	hp.pc = nil
 	hp.rows = nil
 	hp.tok = nil
+	hashPasses.Put(hp)
 }
 
-// hashKeysPart is hashKeyCol restricted to the partition span [start,
-// end): local slot assignment only needs the key VALUES, so the all-rows
-// arm subslices the column and the selection arm subslices rows.
-func hashKeysPart(col colstore.Column, rows []int, all bool, start, end int, g *groupHash, slots []int) {
-	if !all {
-		hashKeyCol(col, rows[start:end], false, g, slots)
-		return
-	}
-	switch c := col.(type) {
-	case *colstore.F64Column:
-		hashKeys(c.Values()[start:end], nil, true, g, slots)
-	case *colstore.I64Column:
-		hashKeys(c.Values()[start:end], nil, true, g, slots)
-	case *colstore.I32Column:
-		hashKeys(c.Values()[start:end], nil, true, g, slots)
-	case *colstore.U16Column:
-		hashKeys(c.Values()[start:end], nil, true, g, slots)
-	case *colstore.U8Column:
-		hashKeys(c.Values()[start:end], nil, true, g, slots)
-	default:
-		for i := range slots {
-			s := g.slotOf(col.Value(start + i))
-			g.cnt[s]++
-			slots[i] = s
-		}
-	}
-}
-
-// hashAccumPart is hashAccumCol restricted to the partition span.
-func hashAccumPart(col colstore.Column, rows []int, all bool, start, end int, slots []int, fn AggFunc, bank []float64) {
-	if !all {
-		hashAccumCol(col, rows[start:end], false, slots, fn, bank)
-		return
-	}
-	switch c := col.(type) {
-	case *colstore.F64Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	case *colstore.I64Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	case *colstore.I32Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	case *colstore.U16Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	case *colstore.U8Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	default:
-		for i, s := range slots {
-			accumOne(fn, bank, s, col.Value(start+i))
-		}
-	}
-}
-
-// hashAccumMinMaxPart is hashAccumMinMaxCol restricted to the partition
-// span.
-func hashAccumMinMaxPart(col colstore.Column, rows []int, all bool, start, end int, slots []int, lo, hi []float64) {
-	if !all {
-		hashAccumMinMaxCol(col, rows[start:end], false, slots, lo, hi)
-		return
-	}
-	switch c := col.(type) {
-	case *colstore.F64Column:
-		hashAccumMinMax(c.Values()[start:end], nil, true, slots, lo, hi)
-	case *colstore.I64Column:
-		hashAccumMinMax(c.Values()[start:end], nil, true, slots, lo, hi)
-	case *colstore.I32Column:
-		hashAccumMinMax(c.Values()[start:end], nil, true, slots, lo, hi)
-	case *colstore.U16Column:
-		hashAccumMinMax(c.Values()[start:end], nil, true, slots, lo, hi)
-	case *colstore.U8Column:
-		hashAccumMinMax(c.Values()[start:end], nil, true, slots, lo, hi)
-	default:
-		for i, s := range slots {
-			v := col.Value(start + i)
-			if v < lo[s] {
-				lo[s] = v
-			}
-			if v > hi[s] {
-				hi[s] = v
-			}
-		}
-	}
-}
-
-// hashGroupedMorsel is the parallel hash strategy: per-worker local group
-// tables over disjoint partitions, merged in ascending-partition order
-// into a global table. Ascending merge makes the global first-appearance
-// order equal the serial one (partition w's rows all precede partition
-// w+1's), so the stored key value of every group — NaN payload included —
-// matches the serial path's first-seen value; counts sum exactly and
-// min/max fold strictly, and the final FloatOrderKey sort makes the
-// emitted record bit-identical to hashGrouped. Every spec is
+// hashGroupPass is the general-key strategy: per-partition local group
+// tables over disjoint spans, partitions 1..deg-1 merged in ascending
+// order into partition 0's table. Ascending merge makes the merged
+// first-appearance order the row order (partition w's rows all precede
+// partition w+1's), so the stored key value of every group — NaN payload
+// included — is its first-seen value; counts sum exactly and min/max
+// fold strictly straight into the result record, and the final
+// FloatOrderKey sort orders the groups. deg > 1 only when every spec is
 // count/min/max (specsMergeExact).
-func hashGroupedMorsel(run *Run, pc *PointCloud, keyCol colstore.Column, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult, deg int) error {
-	hp := hashPasses.get()
+func hashGroupPass(run *Run, pc *PointCloud, keyCol colstore.Column, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult, deg int) error {
+	hp := hashPasses.Get()
 	hp.keyCol, hp.specs, hp.pc = keyCol, specs, pc
 	hp.rows, hp.all, hp.n, hp.deg = rows, all, n, deg
 	hp.nacc = 0
 	for _, s := range specs {
-		if s.Fn == AggMin || s.Fn == AggMax {
+		if s.Fn != AggCount {
 			hp.nacc++
 		}
 	}
@@ -797,112 +631,72 @@ func hashGroupedMorsel(run *Run, pc *PointCloud, keyCol colstore.Column, rows []
 		hp.slotsv = make([][]int, deg)
 		hp.banks = make([][]float64, deg)
 	}
-	hp.gs = hp.gs[:deg]
-	hp.slotsv = hp.slotsv[:deg]
-	hp.banks = hp.banks[:deg]
+	hp.gs, hp.slotsv, hp.banks = hp.gs[:deg], hp.slotsv[:deg], hp.banks[:deg]
+	hp.errs = hp.errs.reset(deg)
 	if p := hp.pass.Run(deg, hp); p != nil {
-		hp.drain()
-		hp.release()
-		hashPasses.put(hp)
+		hp.done()
 		panic(p)
 	}
-	if err := faultpoint.Hit("engine.morsel.merge"); err != nil {
-		hp.drain()
-		hp.release()
-		hashPasses.put(hp)
+	err := hp.errs.first()
+	if err == nil {
+		err = mergePoint(deg)
+	}
+	if err != nil {
+		hp.done()
 		return err
 	}
-	if run.Cancelled() {
-		hp.drain()
-		hp.release()
-		hashPasses.put(hp)
-		return cancel.ErrCancelled
-	}
 
-	// Sweep 1, ascending partitions: assign global slots and sum counts.
-	// The global table, key store and count store grow during the sweep,
-	// so they register in the release list after it (track-after-
-	// production, as in the serial hash path).
-	total := 0
-	for w := 0; w < deg; w++ {
-		total += len(hp.gs[w].keys)
-	}
-	tabSize := 1 << 10
-	for tabSize < 4*total && tabSize < 1<<20 {
-		tabSize <<= 1
-	}
-	g := groupHash{
-		table: getRowBuf(tabSize)[:tabSize],
-		keys:  getF64Buf(64),
-		cnt:   getF64Buf(64),
-	}
-	for i := range g.table {
-		g.table[i] = 0
-	}
-	for w := 0; w < deg; w++ {
+	// Fold the later partitions' groups into partition 0's table, summing
+	// counts; groups first seen in a later partition append after
+	// partition 0's own.
+	g := &hp.gs[0]
+	groups0 := len(g.keys)
+	for w := 1; w < deg; w++ {
 		lg := &hp.gs[w]
 		for l, key := range lg.keys {
-			s := g.slotOf(key)
-			g.cnt[s] += lg.cnt[l]
+			g.cnt[g.slotOf(key)] += lg.cnt[l]
 		}
 	}
-	run.TrackRows(g.table)
-	run.trackF64(g.keys)
-	run.trackF64(g.cnt)
 	groups := len(g.keys)
-
-	// Sweep 2, per min/max spec: fold the worker banks in ascending-
-	// partition order into the global bank.
-	bank := run.trackF64(getF64Buf(hp.nacc * groups))[:hp.nacc*groups]
 	ai := 0
-	for _, s := range specs {
-		if s.Fn != AggMin && s.Fn != AggMax {
+	for j, s := range specs {
+		if s.Fn == AggCount {
+			res.Cols[j] = append(res.Cols[j], g.cnt...)
 			continue
 		}
-		gb := bank[ai*groups : (ai+1)*groups]
+		col := append(res.Cols[j], hp.banks[0][ai*groups0:(ai+1)*groups0]...)
 		seed := math.Inf(1)
 		if s.Fn == AggMax {
 			seed = math.Inf(-1)
 		}
-		for i := range gb {
-			gb[i] = seed
+		for len(col) < groups {
+			col = append(col, seed)
 		}
-		for w := 0; w < deg; w++ {
+		for w := 1; w < deg; w++ {
 			lg := &hp.gs[w]
 			lgroups := len(lg.keys)
 			wb := hp.banks[w][ai*lgroups : (ai+1)*lgroups]
 			for l, key := range lg.keys {
 				gs := g.slotOf(key)
 				if s.Fn == AggMin {
-					if wb[l] < gb[gs] {
-						gb[gs] = wb[l]
+					if wb[l] < col[gs] {
+						col[gs] = wb[l]
 					}
-				} else if wb[l] > gb[gs] {
-					gb[gs] = wb[l]
+				} else if wb[l] > col[gs] {
+					col[gs] = wb[l]
 				}
 			}
 		}
+		if s.Fn == AggAvg {
+			for i := range col {
+				col[i] /= g.cnt[i]
+			}
+		}
+		res.Cols[j] = col
 		ai++
 	}
-
 	res.Keys = append(res.Keys, g.keys...)
-	ai = 0
-	for j, s := range specs {
-		switch s.Fn {
-		case AggCount:
-			res.Cols[j] = append(res.Cols[j], g.cnt...)
-		case AggMin, AggMax:
-			res.Cols[j] = append(res.Cols[j], bank[ai*groups:(ai+1)*groups]...)
-			ai++
-		}
-	}
-	run.recycleF64(bank)
-	run.recycleF64(g.keys)
-	run.recycleF64(g.cnt)
-	run.RecycleRows(g.table)
-	hp.drain()
-	hp.release()
-	hashPasses.put(hp)
+	hp.done()
 	sortGrouped(res)
 	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"gisnav/internal/cancel"
+	"gisnav/internal/geom"
+	"gisnav/internal/sfc"
 )
 
 // morselCloudRows is sized so morselDegree yields up to 4 partitions
@@ -21,10 +23,11 @@ func parRun(deg int) *Run {
 	return run
 }
 
-// TestMorselFilterMatchesSerial pins FilterRowsRun's parallel block arm to
-// the serial path over random predicate chains — including predicates over
-// the NaN-bearing z column — at several degrees (degrees past the
-// partition bound clamp; excess over the resident set queues).
+// TestMorselFilterMatchesSerial pins FilterRowsRun's block pass to the
+// naive row-at-a-time filter chain over random predicate chains —
+// including predicates over the NaN-bearing z column — at degrees 1, 2, 3
+// and 5 (degrees past the partition bound clamp; excess over the
+// resident set queues).
 func TestMorselFilterMatchesSerial(t *testing.T) {
 	pc := groupTestCloud(t, morselCloudRows)
 	rng := rand.New(rand.NewSource(8))
@@ -41,35 +44,29 @@ func TestMorselFilterMatchesSerial(t *testing.T) {
 			p.Value2 = p.Value + rng.Float64()*100
 			preds = append(preds, p)
 		}
-		want, err := pc.FilterRows(nil, preds, nil)
-		if err != nil {
-			t.Fatal(err)
+		want := naiveFilterAll(pc.Column(preds[0].Column), preds[0])
+		for _, p := range preds[1:] {
+			want = naiveFilterSel(pc.Column(p.Column), want, p)
 		}
-		for _, deg := range []int{2, 3, 5} {
+		for _, deg := range []int{1, 2, 3, 5} {
 			run := parRun(deg)
 			got, err := pc.FilterRowsRun(run, nil, preds, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("trial %d deg %d preds %v: %d rows, serial %d", trial, deg, preds, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d deg %d: row[%d] = %d, serial %d", trial, deg, i, got[i], want[i])
-				}
+			if !equalRows(got, want) {
+				t.Fatalf("trial %d deg %d preds %v: %d rows, naive %d", trial, deg, preds, len(got), len(want))
 			}
 			run.RecycleRows(got)
 			if run.Live() != 0 {
 				t.Fatalf("run still owns %d buffers after recycle", run.Live())
 			}
 		}
-		RecycleRows(want)
 	}
 }
 
-// TestMorselFilterBlocksMatchesSerial drives the range-kernel morsel
-// driver directly against the serial block loop over imprint candidates.
+// TestMorselFilterBlocksMatchesSerial drives the range-kernel pass over
+// imprint candidates directly against the naive full-column scan.
 func TestMorselFilterBlocksMatchesSerial(t *testing.T) {
 	pc := groupTestCloud(t, morselCloudRows)
 	if _, err := pc.EnsureColumnImprint(ColZ); err != nil {
@@ -80,27 +77,121 @@ func TestMorselFilterBlocksMatchesSerial(t *testing.T) {
 	for _, bounds := range [][2]float64{{0, 10}, {-60, 160}, {40, 41}, {-1e9, 1e9}} {
 		a := k.Bind(bounds[0], bounds[1])
 		cand := im.CandidateRangesInto(bounds[0], bounds[1], getRangeBuf(0))
-		want := getRowBuf(0)
-		for _, r := range cand {
-			want = k.FilterBlock(a, r.Start, r.End, want)
-		}
-		for _, deg := range []int{2, 4, 7} {
-			got, err := filterBlocksMorsel(k, a, cand, deg, getRowBuf(0))
+		want := naiveFilterAll(pc.Column(ColZ), ColumnPred{Column: ColZ, Op: CmpBetween, Value: bounds[0], Value2: bounds[1]})
+		for _, deg := range []int{1, 2, 3, 5} {
+			got, err := filterBlocks(k, a, cand, deg, getRowBuf(0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("bounds %v deg %d: %d rows, serial %d", bounds, deg, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("bounds %v deg %d: row[%d] = %d, serial %d", bounds, deg, i, got[i], want[i])
-				}
+			if !equalRows(got, want) {
+				t.Fatalf("bounds %v deg %d: %d rows, naive %d", bounds, deg, len(got), len(want))
 			}
 			RecycleRows(got)
 		}
-		RecycleRows(want)
 		RecycleRanges(cand)
+	}
+}
+
+// TestMorselAggregateMatchesSerial pins AggregateRun to the row-loop
+// aggregate bit-for-bit at degrees 1, 2, 3 and 5 — NaN values and
+// all-rows vs selection paths included; sum/avg run at degree 1 whatever
+// the cap.
+func TestMorselAggregateMatchesSerial(t *testing.T) {
+	pc := groupTestCloud(t, morselCloudRows)
+	rng := rand.New(rand.NewSource(17))
+	sel := randomSelection(rng, pc.Len(), 0.8)
+	for _, col := range []string{ColZ, ColIntensity, ColGPSTime} {
+		for _, rows := range [][]int{nil, sel} {
+			n := len(rows)
+			if rows == nil {
+				n = pc.Len()
+			}
+			for _, fn := range []AggFunc{AggMin, AggMax, AggSum, AggAvg, AggCount} {
+				want, ok := naiveAggregate(pc.Column(col), rows, rows == nil, fn, n)
+				if fn == AggCount {
+					want, ok = float64(n), true
+				}
+				if !ok {
+					t.Fatalf("%s(%s): no reference value", fn, col)
+				}
+				for _, deg := range []int{1, 2, 3, 5} {
+					got, err := pc.AggregateRun(parRun(deg), rows, fn, col, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s(%s) deg %d over %d rows = %x, row loop %x",
+							fn, col, deg, n, math.Float64bits(got), math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameGrouped asserts a grouped result is bit-identical to the
+// row-at-a-time reference (refGrouped).
+func sameGrouped(t *testing.T, label string, got *GroupedResult, wantKeys []float64, wantCols [][]float64) {
+	t.Helper()
+	if len(got.Keys) != len(wantKeys) {
+		t.Fatalf("%s: %d groups, reference %d", label, len(got.Keys), len(wantKeys))
+	}
+	for i := range wantKeys {
+		if math.Float64bits(got.Keys[i]) != math.Float64bits(wantKeys[i]) {
+			t.Fatalf("%s: key[%d] = %x, reference %x", label, i, math.Float64bits(got.Keys[i]), math.Float64bits(wantKeys[i]))
+		}
+	}
+	for j := range wantCols {
+		for i := range wantCols[j] {
+			if math.Float64bits(got.Cols[j][i]) != math.Float64bits(wantCols[j][i]) {
+				t.Fatalf("%s: col %d group %d = %x, reference %x",
+					label, j, i, math.Float64bits(got.Cols[j][i]), math.Float64bits(wantCols[j][i]))
+			}
+		}
+	}
+}
+
+// TestMorselGroupedMatchesSerial pins the dense (u8, u16) and hash (f64
+// keys with NaN/±0/±Inf) grouped strategies to the row-at-a-time
+// reference bit-for-bit at degrees 1, 2, 3 and 5, over all-rows and
+// selection inputs. Plans containing sum or avg run at degree 1 whatever
+// the cap and must match too.
+func TestMorselGroupedMatchesSerial(t *testing.T) {
+	pc := groupTestCloud(t, morselCloudRows)
+	rng := rand.New(rand.NewSource(23))
+	sel := randomSelection(rng, pc.Len(), 0.85)
+	exact := []GroupedAggSpec{
+		{Fn: AggCount},
+		{Fn: AggMin, Column: ColZ},
+		{Fn: AggMax, Column: ColGPSTime},
+		{Fn: AggMax, Column: ColZ},
+	}
+	withSum := []GroupedAggSpec{
+		{Fn: AggSum, Column: ColZ},
+		{Fn: AggCount},
+		{Fn: AggAvg, Column: ColIntensity},
+	}
+	strategy := map[string]string{ColClassification: GroupDense, ColIntensity: GroupDense, ColGPSTime: GroupHash}
+	var got GroupedResult
+	for _, key := range []string{ColClassification, ColIntensity, ColGPSTime} {
+		for _, rows := range [][]int{nil, sel} {
+			for _, specs := range [][]GroupedAggSpec{exact, withSum} {
+				wantKeys, wantCols := refGrouped(pc, rows, key, specs)
+				for _, deg := range []int{1, 2, 3, 5} {
+					run := parRun(deg)
+					if err := pc.GroupedAggregateRun(run, rows, key, specs, &got, nil); err != nil {
+						t.Fatal(err)
+					}
+					if run.Live() != 0 {
+						t.Fatalf("grouped run still owns %d buffers", run.Live())
+					}
+					if got.Strategy != strategy[key] {
+						t.Fatalf("key %s: strategy %s, want %s", key, got.Strategy, strategy[key])
+					}
+					sameGrouped(t, key, &got, wantKeys, wantCols)
+				}
+			}
+		}
 	}
 }
 
@@ -113,7 +204,7 @@ func TestWideSelectivitySkipsCandidates(t *testing.T) {
 		t.Fatal("wideSelectivity threshold is off")
 	}
 	for _, bounds := range [][2]float64{{-60, 160}, {0, 10}} {
-		indexed, err := pc.FilterRangeIndexed(ColZ, bounds[0], bounds[1], nil)
+		indexed, err := pc.FilterRangeIndexed(nil, ColZ, bounds[0], bounds[1], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,99 +222,6 @@ func TestWideSelectivitySkipsCandidates(t *testing.T) {
 		}
 		RecycleRows(indexed)
 		RecycleRows(scanned)
-	}
-}
-
-// TestMorselAggregateMatchesSerial pins AggregateRun's parallel min/max to
-// the serial fold bit-for-bit — NaN values and all-rows vs selection paths
-// included — and checks sum/avg (always serial) are undisturbed.
-func TestMorselAggregateMatchesSerial(t *testing.T) {
-	pc := groupTestCloud(t, morselCloudRows)
-	rng := rand.New(rand.NewSource(17))
-	sel := randomSelection(rng, pc.Len(), 0.8)
-	for _, col := range []string{ColZ, ColIntensity, ColGPSTime} {
-		for _, rows := range [][]int{nil, sel} {
-			for _, fn := range []AggFunc{AggMin, AggMax, AggSum, AggAvg, AggCount} {
-				want, err := pc.Aggregate(rows, fn, col, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, deg := range []int{2, 4, 5} {
-					got, err := pc.AggregateRun(parRun(deg), rows, fn, col, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%s(%s) deg %d over %v rows = %x, serial %x",
-							fn, col, deg, len(rows), math.Float64bits(got), math.Float64bits(want))
-					}
-				}
-			}
-		}
-	}
-}
-
-// sameGrouped asserts two grouped results are bit-identical.
-func sameGrouped(t *testing.T, label string, got, want *GroupedResult) {
-	t.Helper()
-	if got.Strategy != want.Strategy {
-		t.Fatalf("%s: strategy %s, serial %s", label, got.Strategy, want.Strategy)
-	}
-	if len(got.Keys) != len(want.Keys) {
-		t.Fatalf("%s: %d groups, serial %d", label, len(got.Keys), len(want.Keys))
-	}
-	for i := range want.Keys {
-		if math.Float64bits(got.Keys[i]) != math.Float64bits(want.Keys[i]) {
-			t.Fatalf("%s: key[%d] = %x, serial %x", label, i, math.Float64bits(got.Keys[i]), math.Float64bits(want.Keys[i]))
-		}
-	}
-	for j := range want.Cols {
-		for i := range want.Cols[j] {
-			if math.Float64bits(got.Cols[j][i]) != math.Float64bits(want.Cols[j][i]) {
-				t.Fatalf("%s: col %d group %d = %x, serial %x",
-					label, j, i, math.Float64bits(got.Cols[j][i]), math.Float64bits(want.Cols[j][i]))
-			}
-		}
-	}
-}
-
-// TestMorselGroupedMatchesSerial pins the parallel dense (u8, u16) and
-// hash (f64 keys with NaN/±0/±Inf) grouped strategies to the serial paths
-// bit-for-bit, over all-rows and selection inputs. Plans containing sum
-// or avg must stay serial-identical too (they route around the fan-out).
-func TestMorselGroupedMatchesSerial(t *testing.T) {
-	pc := groupTestCloud(t, morselCloudRows)
-	rng := rand.New(rand.NewSource(23))
-	sel := randomSelection(rng, pc.Len(), 0.85)
-	exact := []GroupedAggSpec{
-		{Fn: AggCount},
-		{Fn: AggMin, Column: ColZ},
-		{Fn: AggMax, Column: ColGPSTime},
-	}
-	withSum := []GroupedAggSpec{
-		{Fn: AggSum, Column: ColZ},
-		{Fn: AggCount},
-		{Fn: AggAvg, Column: ColIntensity},
-	}
-	var want, got GroupedResult
-	for _, key := range []string{ColClassification, ColIntensity, ColGPSTime} {
-		for _, rows := range [][]int{nil, sel} {
-			for _, specs := range [][]GroupedAggSpec{exact, withSum} {
-				if err := pc.GroupedAggregate(rows, key, specs, &want, nil); err != nil {
-					t.Fatal(err)
-				}
-				for _, deg := range []int{2, 3, 4} {
-					run := parRun(deg)
-					if err := pc.GroupedAggregateRun(run, rows, key, specs, &got, nil); err != nil {
-						t.Fatal(err)
-					}
-					if run.Live() != 0 {
-						t.Fatalf("grouped run still owns %d buffers", run.Live())
-					}
-					sameGrouped(t, key, &got, &want)
-				}
-			}
-		}
 	}
 }
 
@@ -329,79 +327,97 @@ func TestMorselConcurrentParallelQueries(t *testing.T) {
 	RecycleRows(wantRows)
 }
 
-// TestMorselSteadyStateZeroAllocs pins the warm parallel paths to zero
-// allocations per query: pooled pass scaffolding, pooled per-worker
-// scratch, run-tracked slabs, reused result records.
+// TestMorselSteadyStateZeroAllocs pins the warm passes to zero
+// allocations per query at degree 1 and degree 4: pooled pass
+// scaffolding, pooled per-worker scratch, run-tracked slabs, reused
+// result records. Degree 1 is the serial traffic, hash grouping
+// included.
 func TestMorselSteadyStateZeroAllocs(t *testing.T) {
 	pc := groupTestCloud(t, morselCloudRows)
-	run := parRun(4)
 	preds := []ColumnPred{{Column: ColZ, Op: CmpBetween, Value: 0, Value2: 80}}
-
-	var got int
-	allocs := testing.AllocsPerRun(50, func() {
-		rows, err := pc.FilterRowsRun(run, nil, preds, nil)
-		if err != nil {
-			t.Fatal(err)
+	tiler := sfc.Grid{Extent: geom.NewEnvelope(0, 0, 1000, 1000), Order: 2}
+	tileSpecs := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggMin, Column: ColZ}, {Fn: AggMax, Column: ColGPSTime}}
+	nslots := (1 << (2 * tiler.Order)) * tileDom
+	cnt := make([]float64, nslots)
+	banks := [][]float64{nil, make([]float64, nslots), make([]float64, nslots)}
+	for _, deg := range []int{1, 4} {
+		run := parRun(deg)
+		var got int
+		allocs := testing.AllocsPerRun(50, func() {
+			rows, err := pc.FilterRowsRun(run, nil, preds, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = len(rows)
+			run.RecycleRows(rows)
+		})
+		if got == 0 {
+			t.Fatal("filter matched no rows; the measurement is vacuous")
 		}
-		got = len(rows)
-		run.RecycleRows(rows)
-	})
-	if got == 0 {
-		t.Fatal("parallel filter matched no rows; the measurement is vacuous")
-	}
-	if allocs != 0 {
-		t.Fatalf("steady-state parallel FilterRowsRun allocates %.1f objects/op, want 0", allocs)
-	}
-
-	allocs = testing.AllocsPerRun(50, func() {
-		if _, err := pc.AggregateRun(run, nil, AggMax, ColZ, nil); err != nil {
-			t.Fatal(err)
+		if allocs != 0 {
+			t.Fatalf("deg %d: steady-state FilterRowsRun allocates %.1f objects/op, want 0", deg, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state parallel AggregateRun allocates %.1f objects/op, want 0", allocs)
-	}
 
-	var res GroupedResult
-	for _, key := range []string{ColClassification, ColGPSTime} {
-		specs := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggMin, Column: ColZ}, {Fn: AggMax, Column: ColZ}}
 		allocs = testing.AllocsPerRun(50, func() {
-			if err := pc.GroupedAggregateRun(run, nil, key, specs, &res, nil); err != nil {
+			if _, err := pc.AggregateRun(run, nil, AggMax, ColZ, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if len(res.Keys) == 0 {
-			t.Fatal("grouped pass emitted no groups; the measurement is vacuous")
-		}
 		if allocs != 0 {
-			t.Fatalf("steady-state parallel grouped (%s key) allocates %.1f objects/op, want 0", key, allocs)
+			t.Fatalf("deg %d: steady-state AggregateRun allocates %.1f objects/op, want 0", deg, allocs)
+		}
+
+		var res GroupedResult
+		for _, key := range []string{ColClassification, ColGPSTime} {
+			specs := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggMin, Column: ColZ}, {Fn: AggMax, Column: ColZ}}
+			allocs = testing.AllocsPerRun(50, func() {
+				if err := pc.GroupedAggregateRun(run, nil, key, specs, &res, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if len(res.Keys) == 0 {
+				t.Fatal("grouped pass emitted no groups; the measurement is vacuous")
+			}
+			if allocs != 0 {
+				t.Fatalf("deg %d: steady-state grouped (%s key) allocates %.1f objects/op, want 0", deg, key, allocs)
+			}
+		}
+
+		allocs = testing.AllocsPerRun(20, func() {
+			if err := pc.TileGroupedAggregateRun(run, tiler, ColClassification, tileSpecs, cnt, banks, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("deg %d: steady-state tile scatter allocates %.1f objects/op, want 0", deg, allocs)
+		}
+		if run.Live() != 0 {
+			t.Fatalf("deg %d: run still owns %d buffers", deg, run.Live())
 		}
 	}
 }
 
 // TestMorselDegreeHeuristic pins the degree rule: explicit caps are
-// honoured, small inputs stay serial, 1 forces serial, and the unset
-// default defers to the table's auto-parallel flag.
+// honoured, small inputs stay serial, and a cap of 0 or 1 (or no run) is
+// serial.
 func TestMorselDegreeHeuristic(t *testing.T) {
-	pc := NewPointCloud()
-	if d := pc.morselDegree(parRun(8), 4*morselMinRows); d != 4 {
+	if d := morselDegree(parRun(8), 4*morselMinRows); d != 4 {
 		t.Fatalf("degree(cap 8, 4 partitions of rows) = %d, want 4", d)
 	}
-	if d := pc.morselDegree(parRun(3), 16*morselMinRows); d != 3 {
+	if d := morselDegree(parRun(3), 16*morselMinRows); d != 3 {
 		t.Fatalf("degree(cap 3, large) = %d, want 3", d)
 	}
-	if d := pc.morselDegree(parRun(8), 2*morselMinRows-1); d != 1 {
+	if d := morselDegree(parRun(8), 2*morselMinRows-1); d != 1 {
 		t.Fatalf("degree just under two partitions = %d, want 1", d)
 	}
-	if d := pc.morselDegree(parRun(1), 64*morselMinRows); d != 1 {
+	if d := morselDegree(parRun(1), 64*morselMinRows); d != 1 {
 		t.Fatalf("degree(cap 1) = %d, want 1", d)
 	}
-	if d := pc.morselDegree(nil, 64*morselMinRows); d != 1 {
-		t.Fatalf("degree(no run, Parallel off) = %d, want 1", d)
+	if d := morselDegree(parRun(0), 64*morselMinRows); d != 1 {
+		t.Fatalf("degree(cap 0) = %d, want 1", d)
 	}
-	pc.Parallel = true
-	if d := pc.morselDegree(nil, 64*morselMinRows); d < 1 {
-		t.Fatalf("degree(no run, Parallel on) = %d, want >= 1", d)
+	if d := morselDegree(nil, 64*morselMinRows); d != 1 {
+		t.Fatalf("degree(no run) = %d, want 1", d)
 	}
 }
 

@@ -1,46 +1,74 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"gisnav/internal/geom"
+	"gisnav/internal/grid"
 )
 
+// TestParallelSelectionMatchesSerial pins region selection at degrees 1,
+// 2, 3 and 5 to the exhaustive per-point scan over box, polygon and
+// buffer regions.
 func TestParallelSelectionMatchesSerial(t *testing.T) {
 	pc, _ := buildCloud(t, 0.2) // enough rows to cross the parallel threshold
-	serial := pc.SelectBox(geom.NewEnvelope(100, 100, 900, 900))
-
-	pc.Parallel = true
-	parallel := pc.SelectBox(geom.NewEnvelope(100, 100, 900, 900))
-	pc.Parallel = false
-
-	if len(serial.Rows) != len(parallel.Rows) {
-		t.Fatalf("serial %d rows, parallel %d rows", len(serial.Rows), len(parallel.Rows))
-	}
-	for i := range serial.Rows {
-		if serial.Rows[i] != parallel.Rows[i] {
-			t.Fatalf("row %d differs", i)
-		}
-	}
-
-	// Polygon and buffer regions too.
 	poly := geom.Polygon{Shell: geom.Ring{Points: []geom.Point{
 		{X: 100, Y: 200}, {X: 800, Y: 150}, {X: 900, Y: 800}, {X: 300, Y: 950},
 	}}}
-	s := pc.SelectGeometry(poly)
-	pc.Parallel = true
-	p := pc.SelectGeometry(poly)
-	pc.Parallel = false
-	if len(s.Rows) != len(p.Rows) {
-		t.Fatalf("polygon: serial %d vs parallel %d", len(s.Rows), len(p.Rows))
-	}
-
 	road := geom.LineString{Points: []geom.Point{{X: 0, Y: 480}, {X: 1000, Y: 520}}}
-	s2 := pc.SelectDWithin(road, 50)
-	pc.Parallel = true
-	p2 := pc.SelectDWithin(road, 50)
-	pc.Parallel = false
-	if len(s2.Rows) != len(p2.Rows) {
-		t.Fatalf("dwithin: serial %d vs parallel %d", len(s2.Rows), len(p2.Rows))
+	regions := map[string]grid.Region{
+		"box":     grid.GeometryRegion{G: geom.NewEnvelope(100, 100, 900, 900).ToPolygon()},
+		"polygon": grid.GeometryRegion{G: poly},
+		"dwithin": grid.BufferRegion{G: road, D: 50},
+		"all":     grid.GeometryRegion{G: geom.NewEnvelope(-1, -1, 1001, 1001).ToPolygon()},
+	}
+	for name, region := range regions {
+		want := pc.SelectRegionScan(region)
+		for _, deg := range []int{1, 2, 3, 5} {
+			run := new(Run)
+			run.SetMaxParallel(deg)
+			got := pc.SelectRegionRun(run, region)
+			if !equalRows(got.Rows, want.Rows) {
+				t.Fatalf("%s deg %d: %d rows, exhaustive scan %d", name, deg, len(got.Rows), len(want.Rows))
+			}
+		}
+	}
+}
+
+// TestRefineExplainRecordsDegree pins the grid.refine EXPLAIN step: a
+// run capped at 4 over a region with at least 4×morselMinRows candidates
+// fans out and says so; a run capped at 1 stays serial and says nothing.
+func TestRefineExplainRecordsDegree(t *testing.T) {
+	pc := groupTestCloud(t, morselCloudRows)
+	region := grid.GeometryRegion{G: geom.NewEnvelope(-1, -1, 1001, 1001).ToPolygon()}
+	for _, c := range []struct {
+		cap  int
+		want string
+	}{{4, "[par 4]"}, {1, ""}} {
+		run := new(Run)
+		run.SetMaxParallel(c.cap)
+		sel := pc.SelectRegionRun(run, region)
+		var detail string
+		for _, s := range sel.Explain.Steps {
+			if s.Op == opGridRefine {
+				if s.InRows < 4*morselMinRows {
+					t.Fatalf("region has %d candidates, want at least %d", s.InRows, 4*morselMinRows)
+				}
+				detail = s.Detail
+			}
+		}
+		if detail == "" {
+			t.Fatal("no grid.refine step in trace")
+		}
+		if c.want != "" && !strings.HasSuffix(detail, c.want) {
+			t.Fatalf("cap %d: refine detail %q, want suffix %q", c.cap, detail, c.want)
+		}
+		if c.want == "" && strings.Contains(detail, "[par") {
+			t.Fatalf("cap %d: refine detail %q reports a fan-out", c.cap, detail)
+		}
+		if len(sel.Rows) != pc.Len() {
+			t.Fatalf("cap %d: %d rows, want every row (%d)", c.cap, len(sel.Rows), pc.Len())
+		}
 	}
 }

@@ -28,7 +28,7 @@ func TestConcurrentPoolAndPlanCacheStress(t *testing.T) {
 	spatial := pc.SelectRegionRows(region)
 	wantSpatial := len(spatial)
 	RecycleRows(spatial)
-	thematic, err := pc.FilterRangeIndexed(ColZ, 0, 15, nil)
+	thematic, err := pc.FilterRangeIndexed(nil, ColZ, 0, 15, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestConcurrentPoolAndPlanCacheStress(t *testing.T) {
 					}
 					RecycleRows(rows)
 				case 1:
-					rows, err := pc.FilterRangeIndexed(ColZ, 0, 15, nil)
+					rows, err := pc.FilterRangeIndexed(nil, ColZ, 0, 15, nil)
 					if err != nil || len(rows) != wantThematic {
 						errs <- "thematic count drifted"
 					}

@@ -59,11 +59,10 @@ func (r *Run) Cancelled() bool {
 }
 
 // SetMaxParallel caps the morsel fan-out degree of this run's operators:
-// n partitions at most, 1 forcing the serial path, 0 (the default)
-// deferring to the table's auto-parallel setting. The engine clamps the
-// effective degree per operator from the row count (small selections stay
-// serial; see morselDegree). Nil-safe no-op, so callers can thread an
-// optional run unconditionally.
+// n partitions at most; any n <= 1 (0 is the default) runs every operator
+// serial. The engine clamps the effective degree per operator from the
+// row count (small selections stay serial; see morselDegree). Nil-safe
+// no-op, so callers can thread an optional run unconditionally.
 func (r *Run) SetMaxParallel(n int) {
 	if r != nil {
 		r.par = n

@@ -63,8 +63,10 @@ func TestRunTrackAfterGrowth(t *testing.T) {
 	// identity mechanics untrack relies on.
 	var rs Run
 	b := rs.AcquireRows(1)
-	grown := append(b, make([]int, 10_000)...) // forces reallocation
-	rs.RecycleRows(b)                          // untracks by the original base
+	// Appending past the full capacity forces reallocation whatever
+	// capacity the pool handed out.
+	grown := append(b[:cap(b)], make([]int, 10_000)...)
+	rs.RecycleRows(b) // untracks by the original base
 	if got := rs.Live(); got != 0 {
 		t.Fatalf("Live = %d, want 0", got)
 	}
@@ -86,7 +88,7 @@ func TestRunSwapRows(t *testing.T) {
 		rs.RecycleRows(same)
 
 		buf = rs.AcquireRows(1)
-		grown := append(buf, make([]int, 10_000)...) // reallocates
+		grown := append(buf[:cap(buf)], make([]int, 10_000)...) // reallocates
 		out := rs.SwapRows(buf, grown)
 		if rs.Live() != 1 {
 			t.Fatalf("Live after moved-base swap = %d, want 1", rs.Live())

@@ -1,15 +1,16 @@
 // Tile-grouped pre-aggregation (PR 10): the engine entry points the
 // pyramid builds on. TileGroupedAggregateRun scatters the whole table
 // into per-(tile, class) banks — a grouped-aggregate pass whose composite
-// slot is the row's quantised tile times the 256-class domain — fanned
-// across the morsel worker set exactly like the dense grouped strategy:
-// per-worker bank slabs merged in ascending-partition order, which is
-// exact for count/min/max. Sum banks force the serial arm: per-tile sums
-// are pinned to the ascending row-order fold by the float-determinism
-// invariant, and partition merging would reassociate them.
-// GroupedAccumulateRows is the query-time counterpart: it folds the same
-// compiled kernels over an explicit row list into 256-slot class banks —
-// the boundary-tile refinement of a pyramid lookup.
+// slot is the row's quantised tile times the 256-class domain — run as a
+// morsel pass like the dense grouped strategy: partition 0 scatters
+// straight into the caller's banks, partitions 1..deg-1 into bank slabs
+// merged in ascending-partition order, which is exact for count/min/max.
+// Sum banks run at degree 1: per-tile sums are pinned to the ascending
+// row-order fold by the float-determinism invariant, and partition
+// merging would reassociate them. GroupedAccumulateRows is the
+// query-time counterpart: it folds the same compiled kernels over an
+// explicit row list into 256-slot class banks — the boundary-tile
+// refinement of a pyramid lookup.
 package engine
 
 import (
@@ -19,7 +20,6 @@ import (
 
 	"gisnav/internal/cancel"
 	"gisnav/internal/colstore"
-	"gisnav/internal/faultpoint"
 	"gisnav/internal/morsel"
 	"gisnav/internal/sfc"
 )
@@ -54,58 +54,38 @@ func validateTileSpecs(specs []GroupedAggSpec) error {
 //
 // Parallelism follows the grouped kernels' merge contract: count/min/max
 // shapes fan across the morsel worker set at the run's degree, sum shapes
-// run serial so each tile's sum folds rows in ascending row order.
+// run at degree 1 so each tile's sum folds rows in ascending row order.
 func (pc *PointCloud) TileGroupedAggregateRun(run *Run, tiler sfc.Grid, keyCol string, specs []GroupedAggSpec, cnt []float64, banks [][]float64, ex *Explain) error {
 	start := time.Now()
 	keys, nslots, err := pc.tileBankShape(tiler, keyCol, specs, cnt, banks)
 	if err != nil {
 		return err
 	}
-	for i := range cnt[:nslots] {
-		cnt[i] = 0
-	}
-	for j, s := range specs {
-		if s.Fn != AggCount {
-			seedBank(banks[j][:nslots], s.Fn)
-		}
-	}
-
-	n := pc.Len()
-	if n == 0 {
-		return nil
-	}
-	deg := 1
-	if specsMergeExact(specs) {
-		deg = pc.morselDegree(run, n)
-	}
-	if deg > 1 {
-		err = pc.tileGroupedMorsel(run, tiler, keys, specs, cnt, banks, nslots, n, deg)
-	} else {
-		err = pc.tileGroupedSerial(run, tiler, keys, specs, cnt, banks, 0)
-	}
+	deg, err := pc.tileGrouped(run, tiler, keys, specs, cnt, banks, nslots, 0)
 	if err != nil {
 		return err
 	}
 	if ex != nil {
 		ex.Add(opTileAgg, fmt.Sprintf("order %d, %d aggs [par %d]", tiler.Order, len(specs), deg),
-			n, nslots, time.Since(start))
+			len(keys), nslots, time.Since(start))
 	}
 	return nil
 }
 
 // TileGroupedAppendRun folds rows [from, Len()) into banks that hold the
 // TileGroupedAggregateRun result over the table's first `from` rows — the
-// pyramid's append path. Banks are not reseeded: the new rows fold
-// serially in ascending row order after the existing values, which is
-// the fold a build over all rows performs (count/min/max merge exactly in
-// any order, per-tile sums continue their ascending row-order fold), so
-// the banks come out bit-identical to that build.
+// pyramid's append path. Banks are not reseeded: the new rows fold after
+// the existing values in the same pass, which is the fold a build over
+// all rows performs (count/min/max merge exactly in any order, per-tile
+// sums continue their ascending row-order fold at degree 1), so the banks
+// come out bit-identical to that build.
 func (pc *PointCloud) TileGroupedAppendRun(run *Run, tiler sfc.Grid, keyCol string, specs []GroupedAggSpec, from int, cnt []float64, banks [][]float64) error {
-	keys, _, err := pc.tileBankShape(tiler, keyCol, specs, cnt, banks)
+	keys, nslots, err := pc.tileBankShape(tiler, keyCol, specs, cnt, banks)
 	if err != nil {
 		return err
 	}
-	return pc.tileGroupedSerial(run, tiler, keys, specs, cnt, banks, from)
+	_, err = pc.tileGrouped(run, tiler, keys, specs, cnt, banks, nslots, from)
+	return err
 }
 
 // tileBankShape validates a tile-bank call: the spec shapes, the u8 key
@@ -162,182 +142,148 @@ func tileSlots(xs, ys []float64, keys []uint8, tiler sfc.Grid, start, end int, s
 	}
 }
 
-// tileAccumCol dispatches one scatter-accumulate pass over global rows
-// [start, end) with their partition-local slot vector to the value
-// column's concrete type — the same monomorphic loops as the grouped hash
-// strategy, driven by the composite tile slot.
-func tileAccumCol(col colstore.Column, start, end int, slots []int, fn AggFunc, bank []float64) {
-	switch c := col.(type) {
-	case *colstore.F64Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	case *colstore.I64Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	case *colstore.I32Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	case *colstore.U16Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	case *colstore.U8Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	default:
-		for i, s := range slots {
-			accumOne(fn, bank, s, col.Value(start+i))
-		}
-	}
-}
-
-// tileGroupedSerial is the single-core scatter of rows [from, len(keys)):
-// one slot pass, one count pass, one accumulate pass per non-count spec,
-// polling the cancel token between passes like the serial grouped
-// strategies.
-func (pc *PointCloud) tileGroupedSerial(run *Run, tiler sfc.Grid, keys []uint8, specs []GroupedAggSpec, cnt []float64, banks [][]float64, from int) error {
-	n := len(keys)
-	slots := run.TrackRows(getRowBuf(n - from))[:n-from]
-	tileSlots(pc.xs.Values(), pc.ys.Values(), keys, tiler, from, n, slots)
-	for _, s := range slots {
-		cnt[s]++
-	}
-	for j, s := range specs {
-		if err := groupPassCheckpoint(run); err != nil {
-			run.RecycleRows(slots)
-			return err
-		}
-		if s.Fn == AggCount {
-			continue
-		}
-		tileAccumCol(pc.Column(s.Column), from, n, slots, s.Fn, banks[j])
-	}
-	run.RecycleRows(slots)
-	return nil
-}
-
-// tilePass is the pooled fan-out scaffolding of one parallel tile scatter.
-// Per-worker banks are disjoint slabs of one run-tracked buffer (the dense
-// grouped layout); the per-worker slot vector is this slot's pooled
-// buffer, recycled on every exit path including panic.
+// tilePass is the pooled scaffolding of one tile scatter over rows
+// [from, n). dst holds each partition's destination banks, 1+len(specs)
+// per slot laid out [cnt, spec 0, spec 1, ...]: slot 0 aliases the
+// caller's banks, slots 1..deg-1 slabs of one run-tracked buffer (the
+// dense grouped layout). The per-partition slot vector is pooled and
+// recycled on every exit path, panic included.
 type tilePass struct {
-	pass   morsel.Pass
-	xs, ys []float64
-	keys   []uint8
-	tiler  sfc.Grid
-	pc     *PointCloud
-	specs  []GroupedAggSpec
-	n, deg int
-	nslots int
-	stride int
-	accIdx []int // per spec: 1-based slab bank index; 0 for count
-	banks  []float64
-	tok    *cancel.Token
+	pass         morsel.Pass
+	xs, ys       []float64
+	keys         []uint8
+	tiler        sfc.Grid
+	pc           *PointCloud
+	specs        []GroupedAggSpec
+	from, n, deg int
+	nslots       int
+	seed         bool // seed partition 0's banks (a full build; appends fold on top)
+	dst          [][]float64
+	errs         slotErrs
+	tok          *cancel.Token
 }
 
-var tilePasses passFree[tilePass]
+var tilePasses morsel.Free[tilePass]
 
-func (tp *tilePass) release() {
-	tp.xs, tp.ys, tp.keys = nil, nil, nil
-	tp.pc, tp.specs, tp.banks = nil, nil, nil
-	tp.tok = nil
-}
-
-// RunPartition quantises and scatters one partition into its bank slab.
-// One accumulate pass is this layer's block (as in groupPassCheckpoint),
-// so the token is polled between passes.
+// RunPartition quantises and scatters one partition into its banks, with
+// a pass checkpoint before each accumulate pass (as in
+// groupPassCheckpoint).
 func (tp *tilePass) RunPartition(slot int) {
-	start := slot * tp.n / tp.deg
-	end := (slot + 1) * tp.n / tp.deg
+	start, end := span(slot, tp.deg, tp.n-tp.from)
+	start, end = start+tp.from, end+tp.from
 	slots := getRowBuf(end - start)[:end-start]
 	defer rowPool.Put(slots)
-	if err := faultpoint.Hit("engine.morsel.worker"); err != nil {
-		panic(err)
+	workerPoint(tp.deg)
+	dst := tp.dst[slot*(1+len(tp.specs)) : (slot+1)*(1+len(tp.specs))]
+	if tp.seed || slot > 0 {
+		clear(dst[0][:tp.nslots])
+		for j, sp := range tp.specs {
+			if sp.Fn != AggCount {
+				seedBank(dst[1+j][:tp.nslots], sp.Fn)
+			}
+		}
 	}
 	tileSlots(tp.xs, tp.ys, tp.keys, tp.tiler, start, end, slots)
-	bank := tp.banks[slot*tp.stride : (slot+1)*tp.stride]
-	cnt := bank[:tp.nslots]
-	for i := range cnt {
-		cnt[i] = 0
-	}
+	cnt := dst[0]
 	for _, s := range slots {
 		cnt[s]++
 	}
 	for j, sp := range tp.specs {
-		if tp.tok.Cancelled() {
+		if err := groupPassCheckpoint(tp.tok); err != nil {
+			tp.errs[slot] = err
 			return
 		}
-		if sp.Fn == AggCount {
-			continue
+		if sp.Fn != AggCount {
+			hashAccumCol(tp.pc.Column(sp.Column), nil, true, start, slots, sp.Fn, dst[1+j])
 		}
-		b := bank[tp.accIdx[j]*tp.nslots : (tp.accIdx[j]+1)*tp.nslots]
-		seedBank(b, sp.Fn)
-		tileAccumCol(tp.pc.Column(sp.Column), start, end, slots, sp.Fn, b)
 	}
 }
 
-// tileGroupedMorsel fans the tile scatter over deg partitions and merges
-// the per-worker slabs in ascending-partition order — exact for
-// count/min/max (specsMergeExact holds on this path), so the merged banks
-// are bit-identical to the serial scatter.
-func (pc *PointCloud) tileGroupedMorsel(run *Run, tiler sfc.Grid, keys []uint8, specs []GroupedAggSpec, cnt []float64, banks [][]float64, nslots, n, deg int) error {
-	nacc := 0
-	for _, s := range specs {
-		if s.Fn != AggCount {
-			nacc++
+// tileGrouped scatters rows [from, len(keys)) into the caller's banks,
+// reseeding them first when from is 0, and returns the degree it ran at.
+// Partitions 1..deg-1 merge into the caller's banks in ascending order —
+// exact for count/min/max (specsMergeExact holds whenever deg > 1), so
+// the banks are bit-identical at every degree.
+func (pc *PointCloud) tileGrouped(run *Run, tiler sfc.Grid, keys []uint8, specs []GroupedAggSpec, cnt []float64, banks [][]float64, nslots, from int) (int, error) {
+	n := len(keys)
+	deg := 1
+	if specsMergeExact(specs) {
+		deg = morselDegree(run, n-from)
+	}
+	w := 1 + len(specs)
+	tp := tilePasses.Get()
+	if cap(tp.dst) < deg*w {
+		tp.dst = make([][]float64, deg*w)
+	}
+	tp.dst = tp.dst[:deg*w]
+	tp.dst[0] = cnt
+	copy(tp.dst[1:w], banks)
+	// Partitions 1..deg-1 carve a count bank plus one bank per non-count
+	// spec each out of one run-tracked slab buffer.
+	var slabs []float64
+	if deg > 1 {
+		nacc := 0
+		for _, s := range specs {
+			if s.Fn != AggCount {
+				nacc++
+			}
+		}
+		size := (deg - 1) * (1 + nacc) * nslots
+		slabs = run.trackF64(getF64Buf(size))[:size]
+	}
+	next := 0
+	for i := w; i < deg*w; i++ {
+		tp.dst[i] = nil
+		if i%w == 0 || specs[i%w-1].Fn != AggCount {
+			tp.dst[i] = slabs[next : next+nslots]
+			next += nslots
 		}
 	}
-	stride := nslots * (1 + nacc)
-	wb := run.trackF64(getF64Buf(deg * stride))[:deg*stride]
-	tp := tilePasses.get()
 	tp.xs, tp.ys, tp.keys = pc.xs.Values(), pc.ys.Values(), keys
 	tp.tiler, tp.pc, tp.specs = tiler, pc, specs
-	tp.n, tp.deg, tp.nslots, tp.stride = n, deg, nslots, stride
-	tp.banks = wb
+	tp.from, tp.n, tp.deg, tp.nslots = from, n, deg, nslots
+	tp.seed = from == 0
+	tp.errs = tp.errs.reset(deg)
 	tp.tok = run.Token()
-	if cap(tp.accIdx) < len(specs) {
-		tp.accIdx = make([]int, len(specs))
-	}
-	tp.accIdx = tp.accIdx[:len(specs)]
-	ai := 0
-	for j, s := range specs {
-		tp.accIdx[j] = 0
-		if s.Fn != AggCount {
-			ai++
-			tp.accIdx[j] = ai
+	p := tp.pass.Run(deg, tp)
+	err := tp.errs.first()
+	if p == nil && err == nil {
+		if err = mergePoint(deg); err == nil {
+			tp.merge()
 		}
 	}
-	if p := tp.pass.Run(deg, tp); p != nil {
-		tp.release()
-		tilePasses.put(tp)
-		run.recycleF64(wb)
+	tp.xs, tp.ys, tp.keys = nil, nil, nil
+	tp.pc, tp.specs, tp.tok = nil, nil, nil
+	clear(tp.dst)
+	tilePasses.Put(tp)
+	run.recycleF64(slabs)
+	if p != nil {
 		panic(p)
 	}
-	accIdx := tp.accIdx
-	tp.release()
-	tilePasses.put(tp)
-	if err := faultpoint.Hit("engine.morsel.merge"); err != nil {
-		run.recycleF64(wb)
-		return err
-	}
-	if run.Cancelled() {
-		run.recycleF64(wb)
-		return cancel.ErrCancelled
-	}
-	for w := 0; w < deg; w++ {
-		slab := wb[w*stride : (w+1)*stride]
-		for s, c := range slab[:nslots] {
-			cnt[s] += c
+	return deg, err
+}
+
+// merge folds the banks of partitions 1..deg-1 into partition 0's (the
+// caller's) in ascending-partition order: counts sum, min/max fold
+// strictly.
+func (tp *tilePass) merge() {
+	w := 1 + len(tp.specs)
+	for slot := 1; slot < tp.deg; slot++ {
+		d := tp.dst[slot*w : (slot+1)*w]
+		for s, c := range d[0] {
+			tp.dst[0][s] += c
 		}
-		for j, sp := range specs {
-			if sp.Fn == AggCount {
-				continue
-			}
-			sb := slab[accIdx[j]*nslots : (accIdx[j]+1)*nslots]
-			b := banks[j]
+		for j, sp := range tp.specs {
+			b := tp.dst[1+j]
 			switch sp.Fn {
 			case AggMin:
-				for s, v := range sb {
+				for s, v := range d[1+j] {
 					if v < b[s] {
 						b[s] = v
 					}
 				}
 			case AggMax:
-				for s, v := range sb {
+				for s, v := range d[1+j] {
 					if v > b[s] {
 						b[s] = v
 					}
@@ -345,8 +291,6 @@ func (pc *PointCloud) tileGroupedMorsel(run *Run, tiler sfc.Grid, keys []uint8, 
 			}
 		}
 	}
-	run.recycleF64(wb)
-	return nil
 }
 
 // GroupedAccumulateRows folds specs over an explicit row list into
@@ -374,7 +318,7 @@ func (pc *PointCloud) GroupedAccumulateRows(rows []int, keyCol string, specs []G
 			len(bank), len(specs))
 	}
 	keys := u8.Values()
-	denseCount(keys, rows, false, bank[:tileDom])
+	denseCount(keys, rows, false, 0, len(rows), bank[:tileDom])
 	for j, s := range specs {
 		if s.Fn == AggCount {
 			continue
@@ -383,7 +327,7 @@ func (pc *PointCloud) GroupedAccumulateRows(rows []int, keyCol string, specs []G
 		if col == nil {
 			return fmt.Errorf("engine: unknown column %q", s.Column)
 		}
-		denseAccumCol(keys, col, rows, false, s.Fn, bank[(1+j)*tileDom:(2+j)*tileDom])
+		denseAccumCol(keys, col, rows, false, 0, len(rows), s.Fn, bank[(1+j)*tileDom:(2+j)*tileDom])
 	}
 	return nil
 }

@@ -47,7 +47,7 @@ func TestSteadyStateThematicQueryZeroAllocs(t *testing.T) {
 
 	var got int
 	allocs := testing.AllocsPerRun(50, func() {
-		rows, err := pc.FilterRangeIndexed(ColZ, 0, 10, nil)
+		rows, err := pc.FilterRangeIndexed(nil, ColZ, 0, 10, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func TestFaultWorkerPanicPropagates(t *testing.T) {
 				t.Fatalf("re-raised %v, want the armed panic value", p)
 			}
 		}()
-		RefineParallel(xs, ys, cand, region, Options{}, 4)
+		RefineParallelInto(xs, ys, cand, region, Options{}, 4, nil)
 	}()
 	if _, _, after := partialPool.Stats(); after != before {
 		t.Fatalf("panicked pass drifted partial pool by %d", after-before)
@@ -46,7 +46,7 @@ func TestFaultWorkerPanicPropagates(t *testing.T) {
 	// The worker set survives: disarmed, the very next pass is correct.
 	faultpoint.Disarm("grid.refine.partition")
 	for i := 0; i < 3; i++ {
-		par, _ := RefineParallel(xs, ys, cand, region, Options{}, 4)
+		par, _ := RefineParallelInto(xs, ys, cand, region, Options{}, 4, nil)
 		if !equalInts(serial, par) {
 			t.Fatalf("pass %d after recovery: %d rows, serial %d", i, len(par), len(serial))
 		}
@@ -70,14 +70,14 @@ func TestFaultCallerPartitionPanic(t *testing.T) {
 				t.Fatal("armed caller partition did not re-raise")
 			}
 		}()
-		RefineParallel(xs, ys, cand, region, Options{}, 4)
+		RefineParallelInto(xs, ys, cand, region, Options{}, 4, nil)
 	}()
 	if _, _, after := partialPool.Stats(); after != before {
 		t.Fatalf("panicked pass drifted partial pool by %d", after-before)
 	}
 	faultpoint.Disarm("grid.refine.partition")
 	serial, _ := Refine(xs, ys, cand, region, Options{})
-	par, _ := RefineParallel(xs, ys, cand, region, Options{}, 4)
+	par, _ := RefineParallelInto(xs, ys, cand, region, Options{}, 4, nil)
 	if !equalInts(serial, par) {
 		t.Fatalf("recovered pass differs: %d vs %d rows", len(par), len(serial))
 	}

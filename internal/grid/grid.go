@@ -151,9 +151,9 @@ const (
 
 // statePool recycles cell-state arrays across refinement passes, so the
 // repeated-query steady state allocates nothing per pass. Same substrate
-// as the engine's selection-vector pool (colstore.Pool); RefineParallel
-// workers draw from it concurrently. The budget (16M cells = 16 MiB at one
-// byte per cell) keeps a raised Options.MaxCellsPerSide from pinning
+// as the engine's selection-vector pool (colstore.Pool); the partitions
+// of RefineParallelInto draw from it concurrently. The budget (16M cells
+// = 16 MiB at one byte per cell) keeps a raised Options.MaxCellsPerSide from pinning
 // worst-case grids for the process lifetime.
 var statePool = colstore.Pool[cellState]{MaxElts: 1 << 24}
 

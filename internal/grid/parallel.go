@@ -1,36 +1,21 @@
 package grid
 
 import (
-	"sync"
-
 	"gisnav/internal/colstore"
 	"gisnav/internal/faultpoint"
 	"gisnav/internal/geom"
 	"gisnav/internal/morsel"
 )
 
-// RefineParallel is Refine with the candidate rows partitioned across
-// workers. Results are identical to the serial pass (workers own disjoint,
-// ordered row partitions, so concatenation preserves ascending row order);
-// cell classifications are deterministic, so a cell classified by two
-// workers reaches the same verdict in both. Stats are summed across
-// workers — CellsTouched can exceed the distinct-cell count when partitions
-// share cells.
-//
-// workers <= 0 selects GOMAXPROCS.
-func RefineParallel(xs, ys []float64, cand []colstore.Range, region Region, opts Options, workers int) ([]int, Stats) {
-	return RefineParallelInto(xs, ys, cand, region, opts, workers, nil)
-}
-
-// partialPool recycles the per-worker partial match vectors of parallel
-// refinement (same substrate as the engine's selection-vector pool; 32M
-// rows total budget).
+// partialPool recycles the partial match vectors of partitions 1..deg-1
+// (same substrate as the engine's selection-vector pool; 32M rows total
+// budget).
 var partialPool = colstore.Pool[int]{MaxElts: 1 << 25}
 
-// refineScratch is the reusable fan-out scaffolding of one parallel
-// refinement pass: the partition range storage, the per-partition result
-// and stat slots, and the pass inputs the partitions read. It recycles
-// through a sync.Pool so a steady query stream stops allocating O(workers)
+// refineScratch is the reusable fan-out scaffolding of one refinement
+// pass: the partition range storage, the per-partition result and stat
+// slots, and the pass inputs the partitions read. It recycles through a
+// free list so a steady query stream stops allocating O(partitions)
 // bookkeeping per query. Partitions fan across the shared resident worker
 // set (internal/morsel) — refineScratch is the pass's morsel.Runner.
 type refineScratch struct {
@@ -43,20 +28,24 @@ type refineScratch struct {
 	xs, ys  []float64
 	region  Region
 	opts    Options
+	out     []int // partition 0's destination: the caller's matches
 }
 
-var refineScratchPool = sync.Pool{New: func() any { return new(refineScratch) }}
+var refineScratches morsel.Free[refineScratch]
 
-// RunPartition refines one partition into a pooled partial buffer. On a
-// panic below it the partial buffer goes straight back to its pool and the
-// result slot is cleared before the panic re-raises into the morsel
-// worker's recovery — pool accounting stays balanced whichever way the
-// partition ends, and RefineParallelInto re-raises the first parked panic
-// after every partition has settled.
+// RunPartition refines one partition. Partition 0 appends straight into
+// the caller's matches; every other partition refines into a pooled
+// partial buffer. On a panic below it the partial buffer goes straight
+// back to its pool and the result slot is cleared before the panic
+// re-raises into the morsel recovery — pool accounting stays balanced
+// whichever way the partition ends, and RefineParallelInto re-raises the
+// first parked panic after every partition has settled.
 func (sc *refineScratch) RunPartition(slot int) {
-	// Per-partition match buffers are pooled: the dominant per-query
-	// allocation of the parallel arm would otherwise be one O(matches)
-	// vector per worker.
+	if slot == 0 {
+		sc.partitionPoint()
+		sc.out, sc.stats[0] = RefineInto(sc.xs, sc.ys, sc.parts[0], sc.region, sc.opts, sc.out)
+		return
+	}
 	buf := partialPool.Get(colstore.RangesLen(sc.parts[slot]))
 	defer func() {
 		if p := recover(); p != nil {
@@ -65,57 +54,74 @@ func (sc *refineScratch) RunPartition(slot int) {
 			panic(p)
 		}
 	}()
-	if err := faultpoint.Hit("grid.refine.partition"); err != nil {
-		panic(err)
-	}
+	sc.partitionPoint()
 	sc.results[slot], sc.stats[slot] = RefineInto(sc.xs, sc.ys, sc.parts[slot], sc.region, sc.opts, buf)
 }
 
+// partitionPoint is the grid.refine.partition fault point, hit at the top
+// of every partition of a fanned-out pass; a one-partition pass is the
+// serial refinement and never hits it.
+func (sc *refineScratch) partitionPoint() {
+	if len(sc.parts) > 1 {
+		if err := faultpoint.Hit("grid.refine.partition"); err != nil {
+			panic(err)
+		}
+	}
+}
+
 // release clears the pass inputs so a pooled scratch retains no caller
-// state (column backings, region geometry) between queries.
+// state (column backings, region geometry, the caller's matches) between
+// queries.
 func (sc *refineScratch) release() {
 	sc.xs, sc.ys = nil, nil
 	sc.region = nil
 	sc.opts = Options{}
+	sc.out = nil
+	clear(sc.parts) // partition 0 may alias the caller's candidates
 }
 
-// RefineParallelInto is RefineParallel appending into a caller-provided
-// matches slice (see RefineInto). A panic in any partition — caller's or
-// resident worker's — is re-raised here after all partitions settle, with
-// every partial buffer already recycled; the worker set stays alive and
-// serves later passes.
-func RefineParallelInto(xs, ys []float64, cand []colstore.Range, region Region, opts Options, workers int, matches []int) ([]int, Stats) {
-	if workers <= 0 {
-		workers = morsel.Workers()
-	}
-	total := colstore.RangesLen(cand)
-	if workers == 1 || total < 4096 {
-		return RefineInto(xs, ys, cand, region, opts, matches)
-	}
-	sc := refineScratchPool.Get().(*refineScratch)
-	sc.xs, sc.ys, sc.region, sc.opts = xs, ys, region, opts
-	sc.split(cand, workers)
+// RefineParallelInto is RefineInto over deg order-preserving partitions of
+// cand fanned across the resident worker set. Partition 0 runs on the
+// calling goroutine and appends straight into matches; partitions
+// 1..deg-1 refine into pooled partial vectors appended after it in
+// ascending order, so the result is identical to RefineInto (cell
+// classifications are deterministic, so a cell classified by two
+// partitions reaches the same verdict in both). deg <= 1 is the serial
+// refinement: one partition, no scratch, no copy. Stats are summed across
+// partitions — CellsTouched can exceed the distinct-cell count when
+// partitions share cells.
+//
+// A panic in any partition is re-raised here after all partitions settle,
+// with every partial buffer already recycled; the worker set stays alive
+// and serves later passes.
+func RefineParallelInto(xs, ys []float64, cand []colstore.Range, region Region, opts Options, deg int, matches []int) ([]int, Stats) {
+	sc := refineScratches.Get()
+	sc.xs, sc.ys, sc.region, sc.opts, sc.out = xs, ys, region, opts, matches
+	sc.split(cand, deg)
 	n := len(sc.parts)
 	if p := sc.pass.Run(n, sc); p != nil {
 		// A panicked partition poisons the whole pass: recycle every
 		// surviving partial buffer, return the scratch clean, and
 		// re-raise the first panic for the query layer's recovery.
-		for v := 0; v < n; v++ {
+		for v := 1; v < n; v++ {
 			if sc.results[v] != nil {
 				partialPool.Put(sc.results[v])
 				sc.results[v] = nil
 			}
 		}
 		sc.release()
-		refineScratchPool.Put(sc)
+		refineScratches.Put(sc)
 		panic(p)
 	}
 
+	matches = sc.out
 	var st Stats
 	for w := 0; w < n; w++ {
-		matches = append(matches, sc.results[w]...)
-		partialPool.Put(sc.results[w])
-		sc.results[w] = nil
+		if w > 0 {
+			matches = append(matches, sc.results[w]...)
+			partialPool.Put(sc.results[w])
+			sc.results[w] = nil
+		}
 		st.Matches += sc.stats[w].Matches
 		st.CandidateRows += sc.stats[w].CandidateRows
 		st.CellsTouched += sc.stats[w].CellsTouched
@@ -124,15 +130,11 @@ func RefineParallelInto(xs, ys []float64, cand []colstore.Range, region Region, 
 		st.OutsideCells += sc.stats[w].OutsideCells
 		st.BulkAccepted += sc.stats[w].BulkAccepted
 		st.ExactTests += sc.stats[w].ExactTests
-		if sc.stats[w].GridCellsX > st.GridCellsX {
-			st.GridCellsX = sc.stats[w].GridCellsX
-		}
-		if sc.stats[w].GridCellsY > st.GridCellsY {
-			st.GridCellsY = sc.stats[w].GridCellsY
-		}
+		st.GridCellsX = max(st.GridCellsX, sc.stats[w].GridCellsX)
+		st.GridCellsY = max(st.GridCellsY, sc.stats[w].GridCellsY)
 	}
 	sc.release()
-	refineScratchPool.Put(sc)
+	refineScratches.Put(sc)
 	return matches, st
 }
 
@@ -161,9 +163,13 @@ func (sc *refineScratch) split(cand []colstore.Range, n int) {
 // headers. It is the single partitioning definition — the refinement pass
 // and the engine's morsel drivers both split through it — and it
 // allocates nothing once the caller's slices have grown to the workload's
-// usual partition count. The returned partitions alias partBuf; treat
+// usual partition count. n <= 1 yields cand itself as the one partition,
+// without copying. The returned partitions alias partBuf (or cand); treat
 // them as read-only and do not recycle cand before they are consumed.
 func SplitRangesInto(cand []colstore.Range, n int, partBuf []colstore.Range, cuts []int, parts [][]colstore.Range) ([]colstore.Range, []int, [][]colstore.Range) {
+	if n <= 1 {
+		return partBuf[:0], cuts[:0], append(parts[:0], cand)
+	}
 	total := colstore.RangesLen(cand)
 	target := (total + n - 1) / n
 	partBuf = partBuf[:0]
@@ -196,39 +202,6 @@ func SplitRangesInto(cand []colstore.Range, n int, partBuf []colstore.Range, cut
 		prev = cut
 	}
 	return partBuf, cuts, parts
-}
-
-// SplitRanges cuts a sorted range list into n partitions of roughly equal
-// row counts, preserving order (partition i's rows all precede partition
-// i+1's). n <= 0 selects GOMAXPROCS. Query operators use it to fan block
-// kernels and refinement passes across cores without reordering results.
-// The returned partitions share one backing array; treat them as
-// read-only.
-func SplitRanges(cand []colstore.Range, n int) [][]colstore.Range {
-	if n <= 0 {
-		n = morsel.Workers()
-	}
-	if colstore.RangesLen(cand) == 0 || n <= 1 {
-		return [][]colstore.Range{cand}
-	}
-	_, _, parts := SplitRangesInto(cand, n, nil, nil, nil)
-	return parts
-}
-
-// RefineAuto picks the parallel path for large candidate sets and the
-// serial path otherwise. The crossover favours serial work for small
-// selections where goroutine fan-out costs more than it saves.
-func RefineAuto(xs, ys []float64, cand []colstore.Range, region Region, opts Options) ([]int, Stats) {
-	return RefineAutoInto(xs, ys, cand, region, opts, nil)
-}
-
-// RefineAutoInto is RefineAuto appending into a caller-provided matches
-// slice (see RefineInto).
-func RefineAutoInto(xs, ys []float64, cand []colstore.Range, region Region, opts Options, matches []int) ([]int, Stats) {
-	if colstore.RangesLen(cand) >= 1<<17 {
-		return RefineParallelInto(xs, ys, cand, region, opts, 0, matches)
-	}
-	return RefineInto(xs, ys, cand, region, opts, matches)
 }
 
 // compile-time check that regions used here satisfy the interface.

@@ -15,13 +15,13 @@ func TestRefineParallelMatchesSerial(t *testing.T) {
 	region := GeometryRegion{G: poly}
 	cand := colstore.FullRange(len(xs))
 	serial, sst := Refine(xs, ys, cand, region, Options{})
-	for _, workers := range []int{0, 1, 2, 3, 8, 16} {
-		par, pst := RefineParallel(xs, ys, cand, region, Options{}, workers)
+	for _, deg := range []int{0, 1, 2, 3, 8, 16} {
+		par, pst := RefineParallelInto(xs, ys, cand, region, Options{}, deg, nil)
 		if !equalInts(serial, par) {
-			t.Fatalf("workers=%d: parallel %d rows, serial %d rows", workers, len(par), len(serial))
+			t.Fatalf("deg=%d: parallel %d rows, serial %d rows", deg, len(par), len(serial))
 		}
 		if pst.Matches != sst.Matches {
-			t.Fatalf("workers=%d: stats matches %d vs %d", workers, pst.Matches, sst.Matches)
+			t.Fatalf("deg=%d: stats matches %d vs %d", deg, pst.Matches, sst.Matches)
 		}
 	}
 }
@@ -32,7 +32,7 @@ func TestRefineParallelBufferRegion(t *testing.T) {
 	region := BufferRegion{G: road, D: 60}
 	cand := colstore.FullRange(len(xs))
 	serial, _ := Refine(xs, ys, cand, region, Options{})
-	par, _ := RefineParallel(xs, ys, cand, region, Options{}, 4)
+	par, _ := RefineParallelInto(xs, ys, cand, region, Options{}, 4, nil)
 	if !equalInts(serial, par) {
 		t.Fatalf("parallel buffer refine differs: %d vs %d", len(par), len(serial))
 	}
@@ -51,7 +51,7 @@ func TestRefineParallelSparseCandidates(t *testing.T) {
 		cand = append(cand, colstore.Range{Start: start, End: end})
 	}
 	serial, _ := Refine(xs, ys, cand, region, Options{})
-	par, _ := RefineParallel(xs, ys, cand, region, Options{}, 5)
+	par, _ := RefineParallelInto(xs, ys, cand, region, Options{}, 5, nil)
 	if !equalInts(serial, par) {
 		t.Fatalf("sparse candidates: parallel %d vs serial %d", len(par), len(serial))
 	}
@@ -59,7 +59,7 @@ func TestRefineParallelSparseCandidates(t *testing.T) {
 
 func TestSplitRanges(t *testing.T) {
 	cand := []colstore.Range{{Start: 0, End: 100}, {Start: 200, End: 250}, {Start: 300, End: 450}}
-	parts := SplitRanges(cand, 3)
+	_, _, parts := SplitRangesInto(cand, 3, nil, nil, nil)
 	if len(parts) < 2 {
 		t.Fatalf("expected multiple partitions, got %d", len(parts))
 	}
@@ -78,30 +78,42 @@ func TestSplitRanges(t *testing.T) {
 		}
 		prev = r.End
 	}
-	// Degenerate inputs.
-	if got := SplitRanges(nil, 4); len(got) != 1 {
-		t.Fatalf("empty split = %v", got)
+	// Degenerate inputs: n <= 1 is cand itself as one partition; an
+	// empty list has no rows to split.
+	if _, _, got := SplitRangesInto(cand, 1, nil, nil, nil); len(got) != 1 || &got[0][0] != &cand[0] {
+		t.Fatal("n=1 should be cand itself as one partition")
 	}
-	if got := SplitRanges(cand, 1); len(got) != 1 {
-		t.Fatal("n=1 should be one partition")
+	if _, _, got := SplitRangesInto(nil, 4, nil, nil, nil); colstore.RangesLen(flatten(got)) != 0 {
+		t.Fatalf("empty split = %v", got)
 	}
 }
 
-func TestRefineAutoAgreesWithSerial(t *testing.T) {
-	// Small input stays serial, large goes parallel; both must agree.
+func flatten(parts [][]colstore.Range) []colstore.Range {
+	var flat []colstore.Range
+	for _, p := range parts {
+		flat = append(flat, p...)
+	}
+	return flat
+}
+
+// TestRefineParallelSmallAndLarge pins a small input (below any fan-out)
+// and a large one at several degrees to the serial refinement.
+func TestRefineParallelSmallAndLarge(t *testing.T) {
 	xsSmall, ysSmall := randomCloud(1000, geom.NewEnvelope(0, 0, 100, 100), 34)
 	regionS := GeometryRegion{G: geom.NewEnvelope(10, 10, 90, 90).ToPolygon()}
-	a, _ := RefineAuto(xsSmall, ysSmall, colstore.FullRange(1000), regionS, Options{})
+	a, _ := RefineParallelInto(xsSmall, ysSmall, colstore.FullRange(1000), regionS, Options{}, 1, nil)
 	b, _ := Refine(xsSmall, ysSmall, colstore.FullRange(1000), regionS, Options{})
 	if !equalInts(a, b) {
-		t.Fatal("auto(small) differs from serial")
+		t.Fatal("small input differs from serial")
 	}
 
 	xsBig, ysBig := randomCloud(200_000, geom.NewEnvelope(0, 0, 2000, 2000), 35)
 	regionB := GeometryRegion{G: geom.NewEnvelope(100, 100, 1500, 1500).ToPolygon()}
-	c, _ := RefineAuto(xsBig, ysBig, colstore.FullRange(200_000), regionB, Options{})
 	d, _ := Refine(xsBig, ysBig, colstore.FullRange(200_000), regionB, Options{})
-	if !equalInts(c, d) {
-		t.Fatal("auto(large) differs from serial")
+	for _, deg := range []int{1, 2, 3} {
+		c, _ := RefineParallelInto(xsBig, ysBig, colstore.FullRange(200_000), regionB, Options{}, deg, nil)
+		if !equalInts(c, d) {
+			t.Fatalf("large input at degree %d differs from serial", deg)
+		}
 	}
 }

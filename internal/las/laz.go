@@ -242,16 +242,6 @@ func WriteLAZFile(path string, format uint8, scaleX, scaleY, scaleZ, offX, offY,
 	return f.Close()
 }
 
-// ReadLAZFile loads an entire LAZ-sim file.
-func ReadLAZFile(path string) (Header, []Point, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	defer f.Close()
-	return ReadLAZ(f)
-}
-
 // ReadAnyFile loads a LAS or LAZ-sim file, sniffing the magic bytes.
 func ReadAnyFile(path string) (Header, []Point, error) {
 	f, err := os.Open(path)

@@ -5,7 +5,3 @@ package las
 // reads (the lasindex-style sidecar path) and must decode records they
 // seeked to themselves.
 func DecodeRecord(rec []byte, h Header) Point { return decodePoint(rec, h) }
-
-// EncodeRecord renders p into rec, which must be at least h.RecordSize()
-// bytes long.
-func EncodeRecord(rec []byte, p Point, h Header) { encodePoint(rec, p, h) }

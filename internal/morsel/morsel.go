@@ -22,6 +22,10 @@
 // recover-recycle-repanic), because the pass machinery has no knowledge
 // of what a partition allocated.
 //
+// Operators drive every degree through a Pass, 1 included: Run(1) runs
+// slot 0 inline on the caller without touching the worker channel, so the
+// serial operator is the degree-1 pass of the same driver.
+//
 // Scheduling is deliberately dumb: partitions queue on one channel and
 // excess partitions (a degree larger than the resident set) simply wait
 // for a free worker — work never reorders within a pass's result slots,
@@ -138,4 +142,34 @@ func (p *Pass) Run(n int, r Runner) any {
 		}
 	}
 	return nil
+}
+
+// Free is a mutex-backed free list of operator pass scaffolding. A
+// sync.Pool would be idiomatic, but the race detector drops sync.Pool
+// puts, which would fail the AllocsPerRun == 0 steady-state tests under
+// -race (the SQL layer's runStatePool documents the same trade-off).
+type Free[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// Get returns a retained *T, or a new zero one when the list is empty.
+func (f *Free[T]) Get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.free); n > 0 {
+		t := f.free[n-1]
+		f.free = f.free[:n-1]
+		return t
+	}
+	return new(T)
+}
+
+// Put retains t for a later Get, up to 16 entries.
+func (f *Free[T]) Put(t *T) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.free) < 16 {
+		f.free = append(f.free, t)
+	}
 }

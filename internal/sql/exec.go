@@ -31,13 +31,13 @@ type Executor struct {
 func New(db *engine.DB) *Executor { return &Executor{db: db} }
 
 // SetParallelism caps the morsel fan-out degree of this executor's runs:
-// n partitions at most per operator, 1 forcing every operator serial, and
-// any n <= 0 selecting the default (defer to each table's auto-parallel
-// setting) — the same clamping rule as SetMaxInFlight, so nonsensical
-// arguments from config plumbing degrade to defaults instead of to an
-// accidental serial-only or unbounded mode. The engine still clamps the
-// effective degree per operator from the driving row count, so small
-// selections stay serial whatever the cap (see engine.Run.SetMaxParallel).
+// n partitions at most per operator. Any n <= 1 runs every operator
+// serial: n <= 0 selects the default, which is serial — the same clamping
+// rule as SetMaxInFlight, so nonsensical arguments from config plumbing
+// degrade to the default instead of to an unbounded mode. The engine
+// still clamps the effective degree per operator from the driving row
+// count, so small selections stay serial whatever the cap (see
+// engine.Run.SetMaxParallel).
 // Safe to change while queries are in flight; in-flight runs keep the
 // degree they started with.
 func (e *Executor) SetParallelism(n int) {
